@@ -33,6 +33,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def accuracy_ratio(exact: ProfileVector, estimate: ProfileVector):
     """Componentwise exact/estimate; a zero estimate yields null plus a warning."""
     ratios: list[float | None] = []
@@ -58,15 +80,16 @@ def _build_parser() -> _Parser:
             p.add_argument("--vertex-count", type=int, default=None,
                            help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: TRIPROF_THREADS or all cores)")
+                       help="engine worker count, recorded in each phase; the "
+                            "triangle kernel is serial (default: TRIPROF_THREADS or all cores)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
                        help="mask wall-clock and worker fields for byte-stable reports")
 
     p = sub.add_parser("profile", help="global and per-vertex 3-profile, exact or sampled")
     add_common(p)
-    p.add_argument("--p", type=float, default=1.0, help="edge sampling probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_finite, default=1.0, help="edge sampling probability")
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--runs", type=int, default=1,
                    help="sampled repetitions with seeds seed, seed+1, ...")
     p.add_argument("--compare-exact", action="store_true",
@@ -79,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--centers", default=None, help="file with one center label per line")
     p.add_argument("--random", type=int, default=None, metavar="K",
                    help="pick K random centers")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--all", action="store_true", help="every vertex is a center")
     p.add_argument("--mode", choices=("serial", "parallel"), default="parallel")
     p.add_argument("--tsv", default=None, help="write 'center f0 f1 f2 f3' rows here")
@@ -89,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ego", action="store_true", help="ego table instead of the global profile")
     p.add_argument("--centers", default=None)
     p.add_argument("--random", type=int, default=None, metavar="K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--all", action="store_true")
     p.add_argument("--tsv", default=None)
     p.add_argument("--four-cliques", action="store_true",
@@ -97,18 +120,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sparsifier-check", help="evaluate the sampling feasibility conditions")
     add_common(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--epsilon", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--log-base", choices=("e", "2"), default="e")
     p.add_argument("--form", choices=("final", "prefinal"), default="final")
 
     p = sub.add_parser("polys", help="evaluate the indicator polynomials on sampled masks")
     add_common(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--max-wedges", type=int, default=50_000_000,
+    p.add_argument("--max-wedges", type=_non_negative, default=50_000_000,
                    help="refuse graphs whose wedge count exceeds this budget")
 
     p = sub.add_parser("bench", help="full profile vs triangles-only wall time")
@@ -127,7 +150,10 @@ def _graph_block(args, g: UndirectedGraph) -> dict:
 
 
 def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise IntegrityError(f"report is not strict JSON: {exc}") from None
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -356,7 +382,7 @@ def main(argv=None) -> int:
     except (ParseError, IntegrityError) as exc:
         print(f"triprof: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"triprof: {exc}", file=sys.stderr)
         return 2
 

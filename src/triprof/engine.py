@@ -48,9 +48,12 @@ def default_worker_count() -> int:
     env = os.environ.get(ENV_THREADS)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise UsageError(f"{ENV_THREADS} must be at least 1, got {workers}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -58,7 +61,9 @@ class Engine:
     """Worker pool plus a log of PhaseStats for every phase it runs."""
 
     def __init__(self, workers: int | None = None):
-        self.workers = default_worker_count() if workers is None else max(1, int(workers))
+        self.workers = default_worker_count() if workers is None else int(workers)
+        if self.workers < 1:
+            raise UsageError(f"worker count (--threads) must be at least 1, got {workers}")
         self.phases: list[PhaseStats] = []
 
     def record(self, phase_name: str, elapsed: float,
@@ -87,22 +92,6 @@ class Engine:
             futures = [pool.submit(task, lo, hi) for lo, hi in spans]
             for fut in futures:
                 fut.result()
-
-    def edge_chunk_bounds(self, g: UndirectedGraph, per_chunk_hint: int = 16384) -> np.ndarray:
-        """Edge-range boundaries aligned to rows of the canonical edge list."""
-        m = g.edge_count
-        if m == 0:
-            return np.array([0], dtype=np.int64)
-        chunks = max(1, min(self.workers * 4, m // max(1, per_chunk_hint) + 1))
-        first = g.first_edge_of_row
-        targets = np.linspace(0, m, chunks + 1)
-        rows = np.searchsorted(first, targets, side="left")
-        bounds = np.unique(first[np.clip(rows, 0, g.vertex_count)])
-        if bounds[0] != 0:
-            bounds = np.concatenate([[0], bounds])
-        if bounds[-1] != m:
-            bounds = np.concatenate([bounds, [m]])
-        return bounds
 
 
 def parallel_edge_map(g: UndirectedGraph, f: Callable[[EdgeRef], object], *,

@@ -15,6 +15,16 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 
+# Largest vertex count whose packed edge keys u*n + w (u, w < n) fit in int64.
+MAX_PACKABLE_VERTICES = 3_037_000_499
+
+
+def check_key_packing(n: int) -> None:
+    """Raise UsageError when u*n + w keys over n vertices would overflow int64."""
+    if n > MAX_PACKABLE_VERTICES:
+        raise UsageError(
+            f"{n} vertices exceed the {MAX_PACKABLE_VERTICES} that int64 edge keys can pack")
+
 
 class EdgeRef(NamedTuple):
     """Canonical edge: endpoints with u < w and a stable ordinal."""
@@ -47,7 +57,6 @@ class UndirectedGraph:
         self._position_rows = rows
         self._edge_pos_u = np.flatnonzero(upper)
         self._pos_to_edge = None
-        self._first_edge_of_row = None
         self._csr = None
         for arr in (self._indptr, self._indices, self._degrees,
                     self._edge_u, self._edge_w, self._position_rows,
@@ -72,6 +81,7 @@ class UndirectedGraph:
                 raise UsageError(
                     f"vertex_count {vertex_count} is below the largest id seen ({seen - 1})")
             n = int(vertex_count)
+        check_key_packing(n)
         if labels is not None and len(labels) != n:
             raise UsageError("labels length must equal vertex_count")
 
@@ -165,6 +175,7 @@ class UndirectedGraph:
 
     def edge_index(self, u: int, w: int) -> int:
         """Stable ordinal of edge {u, w}; raises UsageError when absent."""
+        check_key_packing(self.vertex_count)
         if u > w:
             u, w = w, u
         key = np.int64(u) * self.vertex_count + w
@@ -190,6 +201,7 @@ class UndirectedGraph:
     def pos_to_edge(self) -> np.ndarray:
         """Edge ordinal for every CSR position (both directions of each edge)."""
         if self._pos_to_edge is None:
+            check_key_packing(self.vertex_count)
             n = np.int64(self.vertex_count)
             out = np.empty(len(self._indices), dtype=np.int64)
             out[self._edge_pos_u] = np.arange(self.edge_count, dtype=np.int64)
@@ -201,17 +213,11 @@ class UndirectedGraph:
             self._pos_to_edge = out
         return self._pos_to_edge
 
-    @property
-    def first_edge_of_row(self) -> np.ndarray:
-        """first_edge_of_row[r] = first edge index whose smaller endpoint is >= r."""
-        if self._first_edge_of_row is None:
-            out = np.searchsorted(self._edge_u, np.arange(self.vertex_count + 1))
-            out.setflags(write=False)
-            self._first_edge_of_row = out
-        return self._first_edge_of_row
-
     def sparse_adjacency(self):
-        """Boolean adjacency as a scipy CSR matrix with int32 data (cached)."""
+        """Boolean adjacency as a scipy CSR matrix with int32 data (cached).
+
+        No triprof computation uses it; ``perfbench/tracing.py`` still calls it.
+        """
         if self._csr is None:
             import scipy.sparse as sp
 
@@ -281,34 +287,60 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
 
     ids: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {lineno}: expected two vertex labels, got {len(tokens)}")
-        pair = []
-        for tok in tokens:
-            if tok not in ids:
-                ids[tok] = len(ids)
-            pair.append(ids[tok])
-        pairs.append((pair[0], pair[1]))
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"line {lineno}: expected two vertex labels, got {len(tokens)}")
+            pair = []
+            for tok in tokens:
+                if tok not in ids:
+                    ids[tok] = len(ids)
+                pair.append(ids[tok])
+            pairs.append((pair[0], pair[1]))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"line {_undecodable_line(source, lineno)}: not UTF-8 text ({exc.reason})"
+        ) from None
 
     seen = len(ids)
     if vertex_count is not None and vertex_count < seen:
         raise UsageError(
             f"--vertex-count {vertex_count} is below the {seen} labels in the input")
     n = seen if vertex_count is None else int(vertex_count)
+    check_key_packing(n)
     labels = [None] * n
     for lab, i in ids.items():
         labels[i] = lab
     for i in range(seen, n):
         labels[i] = str(i)
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
+
+
+def _undecodable_line(source, lineno: int) -> int:
+    """Line holding the first byte that is not UTF-8.
+
+    A text handle decodes ahead of the line it yields, so its error can
+    surface while an earlier line is current; rescan its raw bytes. A bytes
+    line fails its own decode, so ``lineno`` is already the offending line.
+    """
+    buffer = getattr(source, "buffer", None)
+    if buffer is None or not buffer.seekable():
+        return lineno
+    buffer.seek(0)
+    for i, line in enumerate(buffer.read().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return i
+    return lineno
 
 
 def common_neighbors(g: UndirectedGraph, u: int, w: int) -> list[int]:

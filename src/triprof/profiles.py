@@ -18,7 +18,11 @@ import numpy as np
 
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError
-from .graph import UndirectedGraph
+from .graph import UndirectedGraph, check_key_packing
+
+# Sibling pairs the triangle kernel checks per step. Each step holds a few
+# int64 arrays of this length, whatever the largest out-degree is.
+PAIR_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -106,32 +110,49 @@ def _exact_sum(arr: np.ndarray) -> int:
 def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np.ndarray:
     """Triangles containing each edge, i.e. the common-neighbor count of its endpoints.
 
-    Computed per row-aligned edge chunk as a sparse product masked to the
-    adjacency pattern, which aggregates all sorted-intersection work into
-    vectorized kernels.
+    Compact-forward enumeration: vertices are ranked by (degree, id) and each
+    edge points from its lower- to its higher-ranked endpoint. A triangle with
+    ranks a < b < c is then found exactly once, as the sibling pair (b, c) in
+    a's out-list closed by the edge b -> c, and every hit is counted on its
+    three edges. The work is the number of sibling pairs, the sum of
+    C(d+(v), 2) over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked at most
+    PAIR_BUDGET at a time, so a hub's out-list is split across steps and the
+    temporaries stay bounded. The kernel is serial; ``engine`` is not used.
     """
-    engine = engine or Engine()
     m = g.edge_count
     tri = np.zeros(m, dtype=np.int64)
     if m == 0:
         return tri
-    adj = g.sparse_adjacency()
-    indptr = g.indptr
-    edge_pos_u = g.edge_pos_u
+    n = g.vertex_count
+    check_key_packing(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
+    ru, rw = rank[g.edge_u], rank[g.edge_w]
+    keys = np.minimum(ru, rw) * np.int64(n) + np.maximum(ru, rw)
+    order = np.argsort(keys)  # sorted position -> edge id
+    keys = keys[order]
+    src, dst = np.divmod(keys, n)
 
-    def run(e_lo: int, e_hi: int) -> None:
-        # chunks are row-aligned, so the first edge's smaller endpoint opens the row span
-        r_lo = int(g.edge_u[e_lo])
-        r_hi = int(g.edge_u[e_hi - 1]) + 1
-        sub = adj[r_lo:r_hi]
-        counts = (sub @ adj).multiply(sub).tocsr()
-        aligned = counts + sub  # restores zero-count edges; pattern == sub pattern
-        aligned.sort_indices()
-        local = edge_pos_u[e_lo:e_hi] - indptr[r_lo]
-        tri[e_lo:e_hi] = aligned.data[local].astype(np.int64) - 1
-
-    bounds = engine.edge_chunk_bounds(g)
-    engine.run_chunks(bounds, run)
+    # position i pairs with the later[i] positions after it in its out-list;
+    # first[i] numbers its first pair in one global pair sequence
+    out_end = np.cumsum(np.bincount(src, minlength=n))
+    later = out_end[src] - np.arange(1, m + 1)
+    first = np.cumsum(later) - later
+    total = int(first[-1] + later[-1])
+    hits = np.zeros(m, dtype=np.int64)
+    for lo in range(0, total, PAIR_BUDGET):
+        hi = min(lo + PAIR_BUDGET, total)
+        p0 = int(np.searchsorted(first, lo, side="right")) - 1
+        p1 = int(np.searchsorted(first, hi, side="left"))
+        span = (np.minimum(first[p0:p1] + later[p0:p1], hi)
+                - np.maximum(first[p0:p1], lo))
+        i = np.repeat(np.arange(p0, p1), span)
+        j = np.arange(lo + 1, hi + 1) - first[i] + i
+        closing = dst[i] * np.int64(n) + dst[j]
+        k = np.minimum(np.searchsorted(keys, closing), m - 1)
+        found = keys[k] == closing
+        hits += np.bincount(np.concatenate([i[found], j[found], k[found]]), minlength=m)
+    tri[order] = hits
     return tri
 
 

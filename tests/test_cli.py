@@ -1,13 +1,14 @@
 """CLI subcommands, report shapes, exit codes, and report determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from triprof import ProfileVector
-from triprof.cli import accuracy_ratio, main
+from triprof import IntegrityError, ProfileVector
+from triprof.cli import _emit, accuracy_ratio, main
 
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -78,6 +79,62 @@ class TestProfileCommand:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2\n")
         assert main(["profile", str(path)]) == 2
+
+
+class TestHostileInput:
+    """Each bad input exits 1 (usage) or 2 (data) with a one-line message."""
+
+    @staticmethod
+    def one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("triprof: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_threads_below_one(self, capsys, k4_file, workers):
+        assert main(["profile", k4_file, "--threads", workers]) == 1
+        assert "at least 1" in self.one_line_error(capsys)
+
+    def test_env_threads_zero(self, capsys, k4_file, monkeypatch):
+        monkeypatch.setenv("TRIPROF_THREADS", "0")
+        assert main(["profile", k4_file]) == 1
+        assert "TRIPROF_THREADS" in self.one_line_error(capsys)
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n1 caf\xe9\n")
+        assert main(["profile", str(path)]) == 2
+        assert "line 2: not UTF-8" in self.one_line_error(capsys)
+
+    def test_directory_as_graph(self, capsys, tmp_path):
+        assert main(["profile", str(tmp_path)]) == 2
+        self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "{g}", "--p", "nan"],
+        ["polys", "{g}", "--p", "inf"],
+        ["sparsifier-check", "{g}", "--p", "0.5", "--epsilon", "inf", "--gamma", "1"],
+        ["sparsifier-check", "{g}", "--p", "0.5", "--epsilon", "0.1", "--gamma", "nan"],
+        ["sparsifier-check", "{g}", "--p", "0.5", "--epsilon", "0.1", "--gamma=-inf"],
+    ])
+    def test_non_finite_parameter(self, capsys, c5_file, argv):
+        assert main([a.format(g=c5_file) for a in argv]) == 1
+        assert "must be finite" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "{g}", "--p", "0.5", "--seed", "-1"],
+        ["ego", "{g}", "--random", "2", "--seed", "-1"],
+        ["polys", "{g}", "--p", "0.5", "--max-wedges", "-1"],
+    ])
+    def test_negative_count(self, capsys, c5_file, argv):
+        assert main([a.format(g=c5_file) for a in argv]) == 1
+        assert "must be non-negative" in self.one_line_error(capsys)
+
+    def test_report_is_strict_json(self, capsys):
+        args = argparse.Namespace(out=None)
+        with pytest.raises(IntegrityError, match="not strict JSON"):
+            _emit(args, {"ratio": float("nan")})
+        assert capsys.readouterr().out == ""
 
 
 class TestEgoCommand:

@@ -104,3 +104,15 @@ def test_env_thread_fallback(monkeypatch):
     monkeypatch.setenv("TRIPROF_THREADS", "junk")
     with pytest.raises(UsageError):
         Engine()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_rejected(workers):
+    with pytest.raises(UsageError, match="at least 1"):
+        Engine(workers)
+
+
+def test_env_worker_count_below_one_rejected(monkeypatch):
+    monkeypatch.setenv("TRIPROF_THREADS", "0")
+    with pytest.raises(UsageError, match="TRIPROF_THREADS must be at least 1"):
+        Engine()

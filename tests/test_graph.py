@@ -1,6 +1,7 @@
 """Graph loading, intersection, and induced-subgraph behavior."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triprof import (ParseError, UndirectedGraph, UsageError, common_neighbors,
-                     induced_subgraph, load_edge_list)
+                     graph, induced_subgraph, load_edge_list, profiles)
 
 
 class TestLoadEdgeList:
@@ -55,6 +56,52 @@ class TestLoadEdgeList:
         path.write_text("0 1\n1 2\n")
         g = load_edge_list(path)
         assert g.edge_count == 2
+
+    def test_non_utf8_bytes_line_reports_number(self):
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            load_edge_list([b"0 1\n", b"1 \xff\n", b"1 2\n"])
+
+    def test_non_utf8_file_reports_number(self, tmp_path):
+        # the text layer decodes ahead in blocks, so the bad line lies far past
+        # the last line the loop has seen when the error surfaces
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n" * 3000 + b"0 \xe9\n" + b"1 2\n" * 3000)
+        with pytest.raises(ParseError, match="line 3001: not UTF-8"):
+            load_edge_list(path)
+
+
+class TestKeyPackingLimit:
+    LIMIT = 3_037_000_499
+
+    def test_limit_is_the_largest_packable_count(self):
+        # the largest key over n vertices is (n - 1) * n + (n - 1) = n**2 - 1
+        assert self.LIMIT ** 2 - 1 <= np.iinfo(np.int64).max < (self.LIMIT + 1) ** 2 - 1
+        graph.check_key_packing(self.LIMIT)
+        with pytest.raises(UsageError, match="int64"):
+            graph.check_key_packing(self.LIMIT + 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: UndirectedGraph.from_edges([(0, 1)], vertex_count=n),
+        lambda n: load_edge_list(io.StringIO("0 1\n"), vertex_count=n),
+    ], ids=["from_edges", "load_edge_list"])
+    def test_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="int64"):
+                build(self.LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_key_users_check_the_limit(self, k4, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_PACKABLE_VERTICES", 3)
+        with pytest.raises(UsageError, match="int64"):
+            k4.edge_index(0, 1)
+        with pytest.raises(UsageError, match="int64"):
+            k4.pos_to_edge
+        with pytest.raises(UsageError, match="int64"):
+            profiles.edge_triangle_counts(k4)
 
 
 class TestStructure:
