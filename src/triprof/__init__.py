@@ -8,11 +8,10 @@ feasibility conditions, and ships brute-force oracles that verify every count
 at desk scale.
 """
 
-from .ego import EgoProfile, ego_parallel, ego_serial, per_edge_clique_count
-from .engine import Engine, PhaseStats, parallel_edge_map, parallel_vertex_reduce
+from .ego import EgoProfile, ego_parallel, ego_serial
+from .engine import Engine, PhaseStats
 from .errors import IntegrityError, ParseError, UsageError
-from .graph import (EdgeRef, UndirectedGraph, common_neighbors, induced_subgraph,
-                    load_edge_list)
+from .graph import EdgeRef, UndirectedGraph, induced_subgraph, load_edge_list
 from .profiles import (EdgeScalars, LocalProfile, ProfileVector, compute_profile,
                        count_triangles_only, gather_local_profiles,
                        global_profile_from_local, scatter_edge_scalars)
@@ -26,15 +25,14 @@ from .theory import (EdgeExtremes, PolynomialValues, TheoremReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdgeRef", "UndirectedGraph", "common_neighbors", "induced_subgraph",
-    "load_edge_list",
-    "Engine", "PhaseStats", "parallel_edge_map", "parallel_vertex_reduce",
+    "EdgeRef", "UndirectedGraph", "induced_subgraph", "load_edge_list",
+    "Engine", "PhaseStats",
     "ProfileVector", "EdgeScalars", "LocalProfile", "scatter_edge_scalars",
     "gather_local_profiles", "global_profile_from_local", "compute_profile",
     "count_triangles_only",
     "SampleParams", "sample_edges", "sample_mask", "subgraph_from_mask",
     "transition_matrix", "unbiased_estimate", "expected_sampled_profile",
-    "EgoProfile", "ego_serial", "ego_parallel", "per_edge_clique_count",
+    "EgoProfile", "ego_serial", "ego_parallel",
     "EdgeExtremes", "PolynomialValues", "TheoremReport", "edge_extremes",
     "census_terms", "evaluate_polynomials", "check_theorem_conditions",
     "UsageError", "ParseError", "IntegrityError",

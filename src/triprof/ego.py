@@ -3,22 +3,27 @@
 Two routes produce identical results. The serial route materializes each
 neighborhood subgraph and runs the profile pipeline on it. The parallel route
 never builds the subgraphs: shared per-edge scalars feed three pivot sums per
-center, a per-edge clique count supplies the one count the pivots cannot
-separate, and the remaining entries follow by exact arithmetic.
+center, a per-vertex 4-clique count taken from the shared triangle enumeration
+supplies the one count the pivots cannot separate, and the remaining entries
+follow by exact arithmetic.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Engine
+from .engine import Engine, segment_sums
 from .errors import IntegrityError, UsageError
-from .graph import EdgeRef, UndirectedGraph, common_neighbors, induced_subgraph
-from .profiles import EdgeScalars, compute_profile, scatter_edge_scalars
+from .graph import UndirectedGraph, induced_subgraph
+from .profiles import (_lookup, _orient, _ragged_steps, _triangle_steps, compute_profile,
+                       scatter_edge_scalars)
+
+# Triangle extensions the 4-clique pass checks per step. Each step holds a few
+# int64 arrays of this length.
+EXTENSION_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -74,100 +79,68 @@ def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> dic
     return out
 
 
-def per_edge_clique_count(g: UndirectedGraph, e: EdgeRef, cn) -> int:
-    """4-cliques on an edge: common-neighbor pairs that are edges of one endpoint's
-    neighborhood, membership tested by sorted lookup."""
-    both = common_neighbors(g, e.u, e.w)
-    count = 0
-    for i in range(len(both)):
-        for j in range(i + 1, len(both)):
-            pair = (both[i], both[j])
-            k = bisect_left(cn, pair)
-            if k < len(cn) and cn[k] == pair:
-                count += 1
-    return count
+def _four_cliques_per_vertex(g: UndirectedGraph) -> np.ndarray:
+    """4-cliques containing each vertex, by extending every triangle.
+
+    Each triangle a < b < c of the oriented enumeration is extended by every
+    d in c's out-list whose edges a -> d and b -> d exist (Chiba & Nishizeki),
+    so each 4-clique is found once, from its three lowest-ranked vertices.
+    At most EXTENSION_BUDGET extensions are checked per step.
+    """
+    n = g.vertex_count
+    o = _orient(g)
+    count = np.zeros(n, dtype=np.int64)
+    for i, j, _ in _triangle_steps(o):
+        a, b, c = o.src[i], o.dst[i], o.dst[j]
+        for t, offset in _ragged_steps(o.out_ptr[c + 1] - o.out_ptr[c], EXTENSION_BUDGET):
+            d = o.dst[o.out_ptr[c[t]] + offset]
+            found = _lookup(o.keys, a[t] * np.int64(n) + d)[1]
+            t, d = t[found], d[found]
+            found = _lookup(o.keys, b[t] * np.int64(n) + d)[1]
+            t, d = t[found], d[found]
+            count += np.bincount(np.concatenate([a[t], b[t], c[t], d]), minlength=n)
+    return count[o.rank]
 
 
-def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None,
-                 scalars: EdgeScalars | None = None) -> dict[int, EgoProfile]:
+def ego_parallel(g: UndirectedGraph, centers,
+                 engine: Engine | None = None) -> dict[int, EgoProfile]:
     """All centers in shared phases; identical results to ego_serial.
 
-    Common-neighbor lists are materialized only for edges incident to a
-    requested center, which bounds memory by the total neighborhood edge count.
+    A center's triangles-in-neighborhood count f3 is the number of 4-cliques
+    containing it. The 4-clique pass runs, and frees its orientation, before
+    the edge scalars are scattered, so the two passes never hold their
+    temporaries at once.
     """
     engine = engine or Engine()
     order = _dedup_centers(g, centers)
-    if scalars is None:
-        scalars = scatter_edge_scalars(g, engine)
 
-    center_mask = np.zeros(g.vertex_count, dtype=bool)
-    center_mask[order] = True
-    relevant = np.flatnonzero(center_mask[g.edge_u] | center_mask[g.edge_w])
-
-    # Scatter: common-neighbor lists for center-incident edges.
     start = time.perf_counter()
-    cn_lists: dict[int, list[int]] = {}
-    list_bytes = 0
-    for e in relevant:
-        lst = common_neighbors(g, int(g.edge_u[e]), int(g.edge_w[e]))
-        cn_lists[int(e)] = lst
-        list_bytes += 8 * len(lst)
-    engine.record("ego:scatter-neighbor-lists", time.perf_counter() - start,
-                  bytes_scattered=list_bytes)
-
-    # Gather: pivot sums and each center's neighborhood edge list.
-    start = time.perf_counter()
-    pivots: dict[int, PivotSums] = {}
-    neighborhood_edges: dict[int, list[tuple[int, int]]] = {}
-    gathered = 0
-    for v in order:
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        eids = g.pos_to_edge[lo:hi]
-        own = np.where(g.edge_u[eids] == v,
-                       scalars.wedge_at_u[eids], scalars.wedge_at_w[eids])
-        tri = scalars.tri[eids]
-        p1 = int(np.sum(own * (own - 1) // 2))
-        p2 = int(np.sum(tri * (tri - 1) // 2))
-        p3 = int(np.sum(own * tri))
-        pivots[v] = PivotSums(p1, p2, p3)
-        pairs: set[tuple[int, int]] = set()
-        for p in range(lo, hi):
-            a = int(g.indices[p])
-            for x in cn_lists[int(g.pos_to_edge[p])]:
-                pairs.add((a, x) if a < x else (x, a))
-        neighborhood_edges[v] = sorted(pairs)
-        gathered += 16 * len(pairs) + 8 * 3 * (hi - lo)
-    engine.record("ego:gather-pivots", time.perf_counter() - start,
-                  bytes_gathered=int(gathered))
-
-    # Scatter: per-edge 4-clique counts against one endpoint's neighborhood list.
-    start = time.perf_counter()
-    n4: dict[int, int] = {}
-    for e in relevant:
-        ref = g.edge_ref(int(e))
-        host = ref.u if center_mask[ref.u] else ref.w
-        n4[int(e)] = per_edge_clique_count(g, ref, neighborhood_edges[host])
+    cliques = _four_cliques_per_vertex(g)
     engine.record("ego:scatter-clique-counts", time.perf_counter() - start,
-                  bytes_scattered=8 * len(relevant))
+                  bytes_scattered=8 * g.vertex_count)
+    scalars = scatter_edge_scalars(g, engine)
 
-    # Gather: solve for the four counts per center.
+    # Gather: exact pivot sums over each center's incident edges.
     start = time.perf_counter()
-    out: dict[int, EgoProfile] = {}
-    for v in order:
-        eids = g.pos_to_edge[g.indptr[v]:g.indptr[v + 1]]
-        n4_sum = sum(n4[int(e)] for e in eids)
-        piv = pivots[v]
-        out[v] = _solve_pivots(g, v, piv, n4_sum)
-    engine.record("ego:gather-cliques", time.perf_counter() - start,
-                  bytes_gathered=8 * sum(g.degree(v) for v in order))
+    ids = np.asarray(order, dtype=np.int64)
+    deg = g.degrees[ids]
+    bounds = np.concatenate([[0], np.cumsum(deg)])
+    pos = np.repeat(g.indptr[ids] - bounds[:-1], deg) + np.arange(bounds[-1])
+    eids = g.pos_to_edge[pos]
+    own = np.where(g.edge_u[eids] == np.repeat(ids, deg),
+                   scalars.wedge_at_u[eids], scalars.wedge_at_w[eids])
+    tri = scalars.tri[eids]
+    sums = segment_sums(np.stack([own * (own - 1) // 2, tri * (tri - 1) // 2, own * tri],
+                                 axis=1), bounds)
+    out = {v: _solve_pivots(g, v, PivotSums(p1, p2, p3), int(cliques[v]))
+           for v, (p1, p2, p3) in zip(order, sums.tolist())}
+    engine.record("ego:gather-pivots", time.perf_counter() - start,
+                  bytes_gathered=8 * 3 * int(bounds[-1]) + 8 * len(order))
     return out
 
 
-def _solve_pivots(g: UndirectedGraph, v: int, piv: PivotSums, n4_sum: int) -> EgoProfile:
+def _solve_pivots(g: UndirectedGraph, v: int, piv: PivotSums, f3: int) -> EgoProfile:
     name = f"center {g.label_of(v)} (id {v})"
-    if n4_sum % 3:
-        raise IntegrityError(f"4-clique sum not divisible by 3 at {name}")
-    f3 = n4_sum // 3
     f2 = piv.p2 - 3 * f3
     if piv.p3 % 2:
         raise IntegrityError(f"odd wedge-triangle pivot at {name}")

@@ -1,4 +1,4 @@
-"""Immutable undirected graph in CSR form, tuned for sorted neighbor intersection.
+"""Immutable undirected graph in CSR form with sorted neighbor lists.
 
 Vertices are dense integers in [0, vertex_count). Graphs loaded from edge-list
 text keep the original labels so per-vertex output can be written back in the
@@ -341,30 +341,6 @@ def _undecodable_line(source, lineno: int) -> int:
         except UnicodeDecodeError:
             return i
     return lineno
-
-
-def common_neighbors(g: UndirectedGraph, u: int, w: int) -> list[int]:
-    """Sorted intersection of the neighbor lists of u and w by merged scan."""
-    if u == w:
-        raise UsageError("common_neighbors requires two distinct vertices")
-    n = g.vertex_count
-    if not (0 <= u < n and 0 <= w < n):
-        raise UsageError(f"vertex out of range: {u if not 0 <= u < n else w}")
-    a, b = g.neighbors(u), g.neighbors(w)
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(int(x))
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .engine import Engine, endpoint_sums
 from .errors import IntegrityError
 from .graph import UndirectedGraph, check_key_packing
 
-# Sibling pairs the triangle kernel checks per step. Each step holds a few
-# int64 arrays of this length, whatever the largest out-degree is.
+# Sibling pairs checked per step, by the triangle enumeration and by the open
+# wedge enumeration. Each step holds a few int64 arrays of this length,
+# whatever the largest degree is.
 PAIR_BUDGET = 2 ** 20
 
 
@@ -107,52 +109,97 @@ def _exact_sum(arr: np.ndarray) -> int:
     return int(arr.sum(dtype=np.int64))
 
 
-def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np.ndarray:
-    """Triangles containing each edge, i.e. the common-neighbor count of its endpoints.
+class Orientation(NamedTuple):
+    """Edges pointed from the lower- to the higher-ranked endpoint, vertices
+    ranked by (degree, id), packed as int64 keys src*n + dst and sorted once."""
 
-    Compact-forward enumeration: vertices are ranked by (degree, id) and each
-    edge points from its lower- to its higher-ranked endpoint. A triangle with
-    ranks a < b < c is then found exactly once, as the sibling pair (b, c) in
-    a's out-list closed by the edge b -> c, and every hit is counted on its
-    three edges. The work is the number of sibling pairs, the sum of
-    C(d+(v), 2) over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked at most
-    PAIR_BUDGET at a time, so a hub's out-list is split across steps and the
-    temporaries stay bounded. The kernel is serial; ``engine`` is not used.
-    """
-    m = g.edge_count
-    tri = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return tri
+    n: int
+    rank: np.ndarray     # vertex id -> rank
+    order: np.ndarray    # sorted position -> edge id
+    keys: np.ndarray
+    src: np.ndarray      # rank of each sorted position's tail
+    dst: np.ndarray      # rank of its head
+    out_ptr: np.ndarray  # rank r's out-list holds positions out_ptr[r]:out_ptr[r + 1]
+
+
+def _orient(g: UndirectedGraph) -> Orientation:
     n = g.vertex_count
     check_key_packing(n)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(g.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
     ru, rw = rank[g.edge_u], rank[g.edge_w]
     keys = np.minimum(ru, rw) * np.int64(n) + np.maximum(ru, rw)
-    order = np.argsort(keys)  # sorted position -> edge id
+    order = np.argsort(keys)
     keys = keys[order]
     src, dst = np.divmod(keys, n)
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+    return Orientation(n, rank, order, keys, src, dst, out_ptr)
 
-    # position i pairs with the later[i] positions after it in its out-list;
-    # first[i] numbers its first pair in one global pair sequence
-    out_end = np.cumsum(np.bincount(src, minlength=n))
-    later = out_end[src] - np.arange(1, m + 1)
-    first = np.cumsum(later) - later
-    total = int(first[-1] + later[-1])
-    hits = np.zeros(m, dtype=np.int64)
-    for lo in range(0, total, PAIR_BUDGET):
-        hi = min(lo + PAIR_BUDGET, total)
+
+def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in the sorted keys, and whether it is there."""
+    k = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return k, keys[k] == query
+
+
+def _ragged_steps(lengths: np.ndarray, budget: int):
+    """Yield (item, offset) arrays that cover 0 <= offset < lengths[item] for
+    every item in order, at most ``budget`` entries per step.
+
+    A step may begin or end inside one item's range, so the temporaries stay
+    bounded however long a single range is.
+    """
+    if lengths.size == 0:
+        return
+    first = np.cumsum(lengths) - lengths
+    total = int(first[-1] + lengths[-1])
+    for lo in range(0, total, budget):
+        hi = min(lo + budget, total)
         p0 = int(np.searchsorted(first, lo, side="right")) - 1
         p1 = int(np.searchsorted(first, hi, side="left"))
-        span = (np.minimum(first[p0:p1] + later[p0:p1], hi)
+        span = (np.minimum(first[p0:p1] + lengths[p0:p1], hi)
                 - np.maximum(first[p0:p1], lo))
-        i = np.repeat(np.arange(p0, p1), span)
-        j = np.arange(lo + 1, hi + 1) - first[i] + i
-        closing = dst[i] * np.int64(n) + dst[j]
-        k = np.minimum(np.searchsorted(keys, closing), m - 1)
-        found = keys[k] == closing
-        hits += np.bincount(np.concatenate([i[found], j[found], k[found]]), minlength=m)
-    tri[order] = hits
+        item = np.repeat(np.arange(p0, p1), span)
+        yield item, np.arange(lo, hi) - first[item]
+
+
+def _sibling_pairs(ptr: np.ndarray, owner: np.ndarray):
+    """Yield (p, q) position arrays for every p < q that share a segment
+    ptr[r]:ptr[r + 1], where owner[p] is p's segment, PAIR_BUDGET pairs a step."""
+    later = ptr[owner + 1] - np.arange(1, len(owner) + 1)
+    for p, offset in _ragged_steps(later, PAIR_BUDGET):
+        yield p, p + 1 + offset
+
+
+def _triangle_steps(o: Orientation):
+    """Yield the sorted positions (i, j, k) of the edges a->b, a->c and b->c of
+    every triangle with ranks a < b < c, one array triple per step.
+
+    This is compact-forward enumeration: a triangle is found exactly once, as
+    the sibling pair (b, c) in a's out-list closed by the edge b -> c.
+    """
+    for i, j in _sibling_pairs(o.out_ptr, o.src):
+        k, found = _lookup(o.keys, o.dst[i] * np.int64(o.n) + o.dst[j])
+        yield i[found], j[found], k[found]
+
+
+def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np.ndarray:
+    """Triangles containing each edge, i.e. the common-neighbor count of its endpoints.
+
+    Every triangle of the compact-forward enumeration is counted on its three
+    edges. The work is the number of sibling pairs, the sum of C(d+(v), 2)
+    over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked at most
+    PAIR_BUDGET at a time, so a hub's out-list is split across steps and the
+    temporaries stay bounded. The kernel is serial; ``engine`` is not used.
+    """
+    m = g.edge_count
+    o = _orient(g)
+    hits = np.zeros(m, dtype=np.int64)
+    for i, j, k in _triangle_steps(o):
+        hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
+    tri = np.empty(m, dtype=np.int64)
+    tri[o.order] = hits
     return tri
 
 

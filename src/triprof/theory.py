@@ -1,10 +1,11 @@
 """Executable sparsifier analysis: per-edge extremes, feasibility conditions, and
 the indicator polynomials whose concentration drives the sampling guarantee.
 
-The polynomial evaluator enumerates the original graph's lone edges, wedges,
-and triangles explicitly, so it is deliberately desk-scale; callers can cap
-the wedge budget. Everything here is pure integer or float arithmetic over an
-immutable graph plus a sample mask.
+The polynomial evaluator works from tables of the original graph's lone-edge
+weights, open wedges and triangles, enumerated once in vectorized steps. The
+wedge table grows with the sum of C(d, 2), so callers can cap the wedge count;
+the cap is checked before any wedge is enumerated. Everything here is pure
+integer or float arithmetic over an immutable graph plus a sample mask.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import EdgeScalars, ProfileVector, _exact_sum, scatter_edge_scalars
+from .profiles import (EdgeScalars, ProfileVector, _exact_sum, _lookup, _orient,
+                       _sibling_pairs, _triangle_steps, scatter_edge_scalars)
 
 A1 = 8.0
 A2 = 8.0 ** 2 * math.sqrt(2.0)
@@ -68,64 +70,44 @@ class TermTables:
 
 
 def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTables:
-    """Enumerate the indicator-term structure of a graph once, for reuse across masks."""
+    """Enumerate the indicator-term structure of a graph once, for reuse across masks.
+
+    Triangles come from the shared oriented enumeration. Open wedges are the
+    pairs of a center's neighbors with no edge between them; the open-wedge
+    count, the sum of C(d, 2) less three per triangle, is checked against
+    ``max_wedges`` before any wedge is enumerated.
+    """
     n, m = g.vertex_count, g.edge_count
-    edge_key = {}
-    for e in range(m):
-        edge_key[(int(g.edge_u[e]), int(g.edge_w[e]))] = e
-
-    tri_edges: list[tuple[int, int, int]] = []
-    tri_per_edge = np.zeros(m, dtype=np.int64)
-    for e in range(m):
-        a, b = int(g.edge_u[e]), int(g.edge_w[e])
-        na, nb = g.neighbors(a), g.neighbors(b)
-        i = j = 0
-        while i < len(na) and j < len(nb):
-            x, y = na[i], nb[j]
-            if x == y:
-                c = int(x)
-                tri_per_edge[e] += 1
-                if c > b:  # each triangle recorded once, at its sorted orientation
-                    tri_edges.append((e, edge_key[(a, c)], edge_key[(b, c)]))
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-
-    wedge_e1: list[int] = []
-    wedge_e2: list[int] = []
-    for c in range(n):
-        nb = g.neighbors(c)
-        for i in range(len(nb)):
-            x = int(nb[i])
-            ex = edge_key[(min(c, x), max(c, x))]
-            for j in range(i + 1, len(nb)):
-                y = int(nb[j])
-                if g.has_edge(x, y):
-                    continue
-                wedge_e1.append(ex)
-                wedge_e2.append(edge_key[(min(c, y), max(c, y))])
-                if max_wedges is not None and len(wedge_e1) > max_wedges:
-                    raise UsageError(
-                        f"wedge count exceeds the configured budget of {max_wedges}")
-
+    o = _orient(g)
+    tri = np.concatenate([np.zeros((0, 3), dtype=np.int64)]
+                         + [o.order[np.stack(step, axis=1)] for step in _triangle_steps(o)])
     deg = g.degrees
+    n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * len(tri)
+    if max_wedges is not None and n2 > max_wedges:
+        raise UsageError(
+            f"{n2} open wedges exceed the configured budget of {max_wedges}")
+
+    keys = g.edge_u * np.int64(n) + g.edge_w  # canonical edges are sorted by (u, w)
+    wedge_e1, wedge_e2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for p, q in _sibling_pairs(g.indptr, g.position_rows):
+        _, closed = _lookup(keys, g.indices[p] * np.int64(n) + g.indices[q])
+        wedge_e1.append(g.pos_to_edge[p[~closed]])
+        wedge_e2.append(g.pos_to_edge[q[~closed]])
+    wedge_e1, wedge_e2 = np.concatenate(wedge_e1), np.concatenate(wedge_e2)
+    if len(wedge_e1) != n2:
+        raise IntegrityError(f"{len(wedge_e1)} open wedges enumerated, {n2} expected")
+
+    tri_per_edge = np.bincount(tri.ravel(), minlength=m)
     iso_weight = (n - (deg[g.edge_u] + deg[g.edge_w] - tri_per_edge)).astype(np.int64)
-    total = math.comb(n, 3)
     n1 = _exact_sum(iso_weight)
-    n2 = len(wedge_e1)
-    n3 = len(tri_edges)
-    tri_arr = np.array(tri_edges, dtype=np.int64).reshape(-1, 3)
     return TermTables(
-        n0=total - n1 - n2 - n3,
+        n0=math.comb(n, 3) - n1 - n2 - len(tri),
         iso_weight=iso_weight,
-        wedge_e1=np.array(wedge_e1, dtype=np.int64),
-        wedge_e2=np.array(wedge_e2, dtype=np.int64),
-        tri_e1=tri_arr[:, 0],
-        tri_e2=tri_arr[:, 1],
-        tri_e3=tri_arr[:, 2],
+        wedge_e1=wedge_e1,
+        wedge_e2=wedge_e2,
+        tri_e1=tri[:, 0],
+        tri_e2=tri[:, 1],
+        tri_e3=tri[:, 2],
     )
 
 
@@ -270,10 +252,16 @@ def check_theorem_conditions(profile: ProfileVector, extremes: EdgeExtremes,
     n0, n1, n2, n3 = (int(x) for x in profile.as_tuple())
     alpha, beta, delta = extremes.alpha, extremes.beta, extremes.delta
     logm = math.log(m) / math.log(log_base)
-    rhs1 = A3 ** 2 * ((2 + gamma) * logm) ** 6 / epsilon ** 2
+    try:
+        rhs1 = A3 ** 2 * ((2 + gamma) * logm) ** 6 / epsilon ** 2
+        rhs3 = A1 ** 2 * (gamma * logm) ** 2 / epsilon ** 2
+        rhs4 = A2 ** 2 * ((1 + gamma) * logm) ** 4 / epsilon ** 2
+    except (OverflowError, ZeroDivisionError):
+        rhs1 = rhs3 = rhs4 = math.inf
+    if not all(math.isfinite(x) for x in (rhs1, rhs3, rhs4)):
+        raise UsageError(f"epsilon {epsilon} and gamma {gamma} put a condition bound "
+                         "beyond float range")
     rhs2 = rhs1
-    rhs3 = A1 ** 2 * (gamma * logm) ** 2 / epsilon ** 2
-    rhs4 = A2 ** 2 * ((1 + gamma) * logm) ** 4 / epsilon ** 2
 
     worst = max(alpha, beta, delta)
     if worst == 0:

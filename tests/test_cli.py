@@ -130,6 +130,15 @@ class TestHostileInput:
         assert main([a.format(g=c5_file) for a in argv]) == 1
         assert "must be non-negative" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("param", [
+        ["--epsilon", "1e-200", "--gamma", "1"],
+        ["--epsilon", "0.1", "--gamma", "1e300"],
+        ["--epsilon", "1e300", "--gamma", "1"],
+    ])
+    def test_bound_beyond_float_range(self, capsys, c5_file, param):
+        assert main(["sparsifier-check", c5_file, "--p", "0.5"] + param) == 1
+        assert "beyond float range" in self.one_line_error(capsys)
+
     def test_report_is_strict_json(self, capsys):
         args = argparse.Namespace(out=None)
         with pytest.raises(IntegrityError, match="not strict JSON"):

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from triprof import (UsageError, ego_parallel, ego_serial,
-                     per_edge_clique_count)
+from triprof import UsageError, ego_parallel, ego_serial
 from triprof.oracle import brute_force_ego, brute_force_four_cliques
 
 from conftest import complete_graph, er_graph, star_graph
@@ -46,39 +45,15 @@ class TestPivotTrace:
         from triprof.ego import PivotSums, _solve_pivots
 
         # per incident edge of any K4 vertex: own-side wedges 0, triangles 2
-        prof = _solve_pivots(k4, 0, PivotSums(p1=0, p2=3, p3=0), n4_sum=3)
+        prof = _solve_pivots(k4, 0, PivotSums(p1=0, p2=3, p3=0), f3=1)
         assert prof.as_tuple() == (0, 0, 0, 1)
 
     def test_star_pivot_values(self):
         from triprof.ego import PivotSums, _solve_pivots
 
         star = star_graph(3)
-        prof = _solve_pivots(star, 0, PivotSums(p1=3, p2=0, p3=0), n4_sum=0)
+        prof = _solve_pivots(star, 0, PivotSums(p1=3, p2=0, p3=0), f3=0)
         assert prof.as_tuple() == (1, 0, 0, 0)
-
-
-class TestPerEdgeCliqueCount:
-    def _cn_of(self, g, v):
-        pairs = set()
-        nb = list(map(int, g.neighbors(v)))
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                if g.has_edge(a, b):
-                    pairs.add((min(a, b), max(a, b)))
-        return sorted(pairs)
-
-    def test_k4_edge(self, k4):
-        ref = k4.edge_ref(0)
-        assert per_edge_clique_count(k4, ref, self._cn_of(k4, ref.u)) == 1
-
-    def test_k5_edge(self):
-        k5 = complete_graph(5)
-        ref = k5.edge_ref(0)
-        assert per_edge_clique_count(k5, ref, self._cn_of(k5, ref.u)) == 3
-
-    def test_c5_edge(self, c5):
-        ref = c5.edge_ref(0)
-        assert per_edge_clique_count(c5, ref, self._cn_of(c5, ref.u)) == 0
 
 
 class TestInvariants:

@@ -1,4 +1,4 @@
-"""Graph loading, intersection, and induced-subgraph behavior."""
+"""Graph loading, key packing, and induced-subgraph behavior."""
 
 import io
 import tracemalloc
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (ParseError, UndirectedGraph, UsageError, common_neighbors,
-                     graph, induced_subgraph, load_edge_list, profiles)
+from triprof import (ParseError, UndirectedGraph, UsageError, graph, induced_subgraph,
+                     load_edge_list, profiles)
 
 
 class TestLoadEdgeList:
@@ -133,33 +133,6 @@ class TestStructure:
     def test_pos_to_edge_covers_both_directions(self, c5):
         counts = np.bincount(c5.pos_to_edge, minlength=c5.edge_count)
         assert np.all(counts == 2)
-
-
-class TestCommonNeighbors:
-    def test_k4_edge(self, k4):
-        assert common_neighbors(k4, 0, 1) == [2, 3]
-
-    def test_c5_has_no_triangles(self, c5):
-        for i in range(c5.edge_count):
-            ref = c5.edge_ref(i)
-            assert common_neighbors(c5, ref.u, ref.w) == []
-
-    def test_path_wedge_center(self):
-        g = UndirectedGraph.from_edges([(0, 1), (1, 2)])
-        assert common_neighbors(g, 0, 2) == [1]
-
-    def test_same_vertex_rejected(self, k4):
-        with pytest.raises(UsageError):
-            common_neighbors(k4, 1, 1)
-
-    def test_matches_set_intersection(self):
-        rng = np.random.default_rng(0)
-        g = UndirectedGraph.from_edges(rng.integers(0, 30, size=(120, 2)))
-        for i in range(g.edge_count):
-            ref = g.edge_ref(i)
-            expect = sorted(set(map(int, g.neighbors(ref.u)))
-                            & set(map(int, g.neighbors(ref.w))))
-            assert common_neighbors(g, ref.u, ref.w) == expect
 
 
 class TestInducedSubgraph:

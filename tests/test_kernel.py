@@ -1,16 +1,21 @@
-"""The compact-forward triangle kernel against brute-force common-neighbor counts.
+"""The shared triangle enumeration and its three consumers against brute force:
+per-edge triangle counts, ego profiles and the polynomial term tables.
 
-Every case also runs with the kernel's pair budget at 1 and at a small prime,
-so that step boundaries fall everywhere, inside one vertex's out-list too
-(in K7 the lowest-ranked vertex alone has 15 sibling pairs).
+Every case also runs with the step budgets (pairs per step, and triangle
+extensions per step of the 4-clique pass) at 1 and at a small prime, so that
+step boundaries fall everywhere, inside one vertex's out-list too (in K7 the
+lowest-ranked vertex alone has 15 sibling pairs).
 """
 
 import io
+import math
+from functools import cache
 
 import numpy as np
 import pytest
 
-from triprof import UndirectedGraph, load_edge_list, profiles
+from triprof import UndirectedGraph, census_terms, ego, ego_parallel, load_edge_list, profiles
+from triprof.oracle import brute_force_ego
 
 from conftest import complete_graph, star_graph
 
@@ -62,14 +67,68 @@ CASES = {
 }
 
 
+@cache
+def brute_terms(name):
+    """Sorted triangle edge-id triples, sorted open-wedge edge-id pairs,
+    per-edge lone-edge weights and the empty-triple count."""
+    g = CASES[name]
+    n = g.vertex_count
+    nbrs = [set(map(int, g.neighbors(v))) for v in range(n)]
+    eid = {(int(u), int(w)): i for i, (u, w) in enumerate(zip(g.edge_u, g.edge_w))}
+
+    def edge(x, y):
+        return eid[(min(x, y), max(x, y))]
+
+    tris = sorted(tuple(sorted((edge(u, w), edge(u, x), edge(w, x))))
+                  for (u, w) in eid for x in nbrs[u] & nbrs[w] if x > w)
+    wedges = sorted(tuple(sorted((edge(c, x), edge(c, y))))
+                    for c in range(n) for x in nbrs[c] for y in nbrs[c]
+                    if x < y and y not in nbrs[x])
+    iso = [n - len(nbrs[u] | nbrs[w]) for (u, w) in eid]
+    n0 = math.comb(n, 3) - sum(iso) - len(wedges) - len(tris)
+    return tris, wedges, iso, n0
+
+
+@cache
+def brute_egos(name):
+    g = CASES[name]
+    return {v: brute_force_ego(g, v) for v in range(g.vertex_count)}
+
+
+def set_budget(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(profiles, "PAIR_BUDGET", budget)
+        monkeypatch.setattr(ego, "EXTENSION_BUDGET", budget)
+
+
 @pytest.mark.parametrize("budget", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_matches_brute_force(name, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(profiles, "PAIR_BUDGET", budget)
+    set_budget(budget, monkeypatch)
     g = CASES[name]
     tri = profiles.edge_triangle_counts(g)
     assert tri.dtype == np.int64
     assert tri.shape == (g.edge_count,)
     assert np.array_equal(tri, brute_edge_triangles(g))
 
+
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ego_matches_brute_force(name, budget, monkeypatch):
+    set_budget(budget, monkeypatch)
+    g = CASES[name]
+    assert ego_parallel(g, range(g.vertex_count)) == brute_egos(name)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_census_terms_match_brute_force(name, budget, monkeypatch):
+    set_budget(budget, monkeypatch)
+    terms = census_terms(CASES[name])
+    tris, wedges, iso, n0 = brute_terms(name)
+    got_tris = np.sort(np.stack([terms.tri_e1, terms.tri_e2, terms.tri_e3], axis=1), axis=1)
+    got_wedges = np.sort(np.stack([terms.wedge_e1, terms.wedge_e2], axis=1), axis=1)
+    assert sorted(map(tuple, got_tris.tolist())) == tris
+    assert sorted(map(tuple, got_wedges.tolist())) == wedges
+    assert terms.iso_weight.tolist() == iso
+    assert terms.n0 == n0

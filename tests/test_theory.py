@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from triprof import (SampleParams, UsageError, check_theorem_conditions,
                      census_terms, compute_profile, edge_extremes,
-                     evaluate_polynomials, sample_mask, subgraph_from_mask)
+                     evaluate_polynomials, sample_mask, subgraph_from_mask, theory)
 from triprof.theory import EdgeExtremes
 
 from conftest import er_graph, star_graph
@@ -141,6 +141,16 @@ class TestPolynomials:
     def test_wedge_budget_enforced(self, c5):
         with pytest.raises(UsageError):
             census_terms(c5, max_wedges=2)
+
+    def test_wedge_budget_boundary(self, c5, monkeypatch):
+        assert census_terms(c5, max_wedges=5).wedge_count == 5
+
+        def no_enumeration(*args):
+            raise AssertionError("wedges enumerated before the budget check")
+
+        monkeypatch.setattr(theory, "_sibling_pairs", no_enumeration)
+        with pytest.raises(UsageError, match="5 open wedges"):
+            census_terms(c5, max_wedges=4)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(4, 24), st.floats(0.1, 0.9))
