@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     def add_common(p, graph=True):
         if graph:
             p.add_argument("graph", help="edge-list file ('#' comments, two labels per line)")
-            p.add_argument("--vertex-count", type=int, default=None,
+            p.add_argument("--vertex-count", type=_non_negative, default=None,
                            help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
                        help="engine worker count, recorded in each phase; the "

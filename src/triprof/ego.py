@@ -126,8 +126,8 @@ def ego_parallel(g: UndirectedGraph, centers,
     deg = g.degrees[ids]
     bounds = np.concatenate([[0], np.cumsum(deg)])
     pos = np.repeat(g.indptr[ids] - bounds[:-1], deg) + np.arange(bounds[-1])
-    eids = g.pos_to_edge[pos]
-    own = np.where(g.edge_u[eids] == np.repeat(ids, deg),
+    eids = g.edges_at(pos)
+    own = np.where(g.indices[pos] > g.position_rows[pos],
                    scalars.wedge_at_u[eids], scalars.wedge_at_w[eids])
     tri = scalars.tri[eids]
     sums = segment_sums(np.stack([own * (own - 1) // 2, tri * (tri - 1) // 2, own * tri],

@@ -20,6 +20,10 @@ from .graph import UndirectedGraph
 
 ENV_THREADS = "TRIPROF_THREADS"
 
+# float64 holds every integer up to 2**53 exactly, so endpoint_sums may
+# accumulate with a weighted bincount while n*n stays within it.
+BINCOUNT_EXACT_LIMIT = 2 ** 53
+
 
 @dataclass
 class PhaseStats:
@@ -90,10 +94,11 @@ def endpoint_sums(g: UndirectedGraph, u_side: np.ndarray,
     endpoint, w_side on the larger.
 
     Integer-weight bincount accumulation is exact while every partial sum
-    stays below 2**53; beyond that, fall back to position-segment reduction.
+    stays below BINCOUNT_EXACT_LIMIT; beyond that, fall back to exact
+    position-segment reduction.
     """
     n = g.vertex_count
-    if n * n <= 2 ** 53:
+    if n * n <= BINCOUNT_EXACT_LIMIT:
         out = np.bincount(g.edge_u, weights=u_side, minlength=n)
         out += np.bincount(g.edge_w, weights=w_side, minlength=n)
         return out.astype(np.int64)

@@ -68,7 +68,11 @@ class UndirectedGraph:
     @classmethod
     def from_edges(cls, pairs, vertex_count: int | None = None,
                    labels: list[str] | None = None) -> "UndirectedGraph":
-        """Build from (u, w) integer pairs; drops self-loops and duplicate/reversed edges."""
+        """Build from (u, w) integer pairs; drops self-loops and duplicate/reversed edges.
+
+        Edges are deduplicated by sorting their packed keys lo*n + hi, and the
+        CSR is laid out by sorting the packed keys of both directions, row*n + col.
+        """
         a = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                        dtype=np.int64).reshape(-1, 2)
         if a.size and a.min() < 0:
@@ -85,23 +89,21 @@ class UndirectedGraph:
         if labels is not None and len(labels) != n:
             raise UsageError("labels length must equal vertex_count")
 
+        width = np.int64(max(n, 1))
         lo = np.minimum(a[:, 0], a[:, 1])
         hi = np.maximum(a[:, 0], a[:, 1])
-        keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        if lo.size:
-            keys = np.unique(lo * np.int64(n) + hi)
-            edge_u, edge_w = keys // n, keys % n
-        else:
-            edge_u = edge_w = np.empty(0, dtype=np.int64)
-
-        rows = np.concatenate([edge_u, edge_w])
-        cols = np.concatenate([edge_w, edge_u])
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
-        counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=np.int64)
+        del a
+        keys = lo * width + hi
+        keys = _sorted_distinct(keys[lo != hi])
+        del lo, hi
+        edge_u, edge_w = np.divmod(keys, width)
+        both = np.concatenate([keys, edge_w * width + edge_u])
+        del keys, edge_u, edge_w
+        both.sort()
+        rows, indices = np.divmod(both, width)
+        del both
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, indices, labels)
 
     # -- basic accessors ----------------------------------------------------
@@ -213,6 +215,18 @@ class UndirectedGraph:
             self._pos_to_edge = out
         return self._pos_to_edge
 
+    def edges_at(self, positions: np.ndarray) -> np.ndarray:
+        """Edge ordinal of each given CSR position, without building pos_to_edge.
+
+        Each position's canonical key min*n + max is looked up in the sorted
+        canonical edge keys.
+        """
+        check_key_packing(self.vertex_count)
+        n = np.int64(self.vertex_count)
+        rows, cols = self._position_rows[positions], self._indices[positions]
+        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        return np.searchsorted(self._edge_u * n + self._edge_w, keys)
+
     def sparse_adjacency(self):
         """Boolean adjacency as a scipy CSR matrix with int32 data (cached).
 
@@ -271,6 +285,41 @@ class UndirectedGraph:
         return f"UndirectedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
+# Every character that str.split() separates tokens on, i.e. every character
+# for which str.isspace() is true. Lines end at '\n', '\r\n' or a lone '\r'.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+              "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+              "\u205f\u3000")
+# 1 for each byte value that can be part of a token, 0 for ASCII whitespace.
+_TOKEN_BYTE = np.ones(256, dtype=np.int8)
+_TOKEN_BYTE[[ord(c) for c in WHITESPACE if c.isascii()]] = 0
+# The other whitespace characters encode to 2 or 3 bytes, led by one of four
+# byte values; only where those occur are the following bytes compared.
+_WIDE_SPACES = [c.encode() for c in WHITESPACE if not c.isascii()]
+_WIDE_LEAD = np.zeros(256, dtype=bool)
+_WIDE_LEAD[[b[0] for b in _WIDE_SPACES]] = True
+_WIDE_2 = np.array([int.from_bytes(b, "big") for b in _WIDE_SPACES if len(b) == 2])
+_WIDE_3 = np.array([int.from_bytes(b, "big") for b in _WIDE_SPACES if len(b) == 3])
+# Zero bytes kept after the text, so any 8 bytes from a token start can be read.
+_PAD = 8
+_ALL_BITS = np.uint64(2 ** 64 - 1)
+
+
+class _Text(NamedTuple):
+    """An edge list as one zero-padded UTF-8 byte array and its line ends.
+
+    ``breaks`` holds the offset of the byte that ends each line but the
+    last, so a byte's 0-based line is the number of breaks before it.
+    ``bad`` is None, or the number of the first line that is not UTF-8 text
+    paired with the error message for it.
+    """
+
+    data: np.ndarray
+    size: int
+    breaks: np.ndarray
+    bad: tuple[int, str] | None
+
+
 def load_edge_list(source: str | Path | IO | Iterable[str],
                    vertex_count: int | None = None) -> UndirectedGraph:
     """Parse a whitespace edge list into a graph.
@@ -280,67 +329,320 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     first-appearance order. Self-loops are dropped; duplicate and reversed
     duplicate edges are merged. ``vertex_count`` may exceed the number of
     labels seen, adding unlabeled isolated vertices.
+
+    ``source`` is a path to a UTF-8 file, a text handle, or an iterable of
+    str or bytes lines. Tokens are separated by every character for which
+    ``str.isspace()`` holds. The text is tokenized whole with array
+    operations, and each distinct label is decoded once.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_edge_list(handle, vertex_count)
-
-    ids: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(source, start=1):
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"line {lineno}: expected two vertex labels, got {len(tokens)}")
-            pair = []
-            for tok in tokens:
-                if tok not in ids:
-                    ids[tok] = len(ids)
-                pair.append(ids[tok])
-            pairs.append((pair[0], pair[1]))
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"line {_undecodable_line(source, lineno)}: not UTF-8 text ({exc.reason})"
-        ) from None
-
-    seen = len(ids)
+    text = _read_path(source) if isinstance(source, (str, Path)) else _read_lines(source)
+    pairs, labels = _tokenize(text)
+    seen = len(labels)
     if vertex_count is not None and vertex_count < seen:
         raise UsageError(
             f"--vertex-count {vertex_count} is below the {seen} labels in the input")
     n = seen if vertex_count is None else int(vertex_count)
     check_key_packing(n)
-    labels = [None] * n
-    for lab, i in ids.items():
-        labels[i] = lab
-    for i in range(seen, n):
-        labels[i] = str(i)
+    labels.extend(map(str, range(seen, n)))
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
 
 
-def _undecodable_line(source, lineno: int) -> int:
-    """Line holding the first byte that is not UTF-8.
+def _padded(raw: bytes) -> np.ndarray:
+    data = np.zeros(len(raw) + _PAD, dtype=np.uint8)
+    data[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    return data
 
-    A text handle decodes ahead of the line it yields, so its error can
-    surface while an earlier line is current; rescan its raw bytes. A bytes
-    line fails its own decode, so ``lineno`` is already the offending line.
+
+def _read_path(path) -> _Text:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    data = _padded(raw)
+    breaks = _line_breaks(data[:len(raw)])
+    return _Text(data, len(raw), _offsets(breaks, len(raw)), _utf8_error(raw, breaks))
+
+
+def _line_breaks(data: np.ndarray) -> np.ndarray:
+    """Offsets of every LF and lone CR, and of the CR of every CR LF."""
+    breaks = data == 10
+    carriage = data == 13
+    if carriage.any():
+        breaks[1:] &= ~carriage[:-1]
+        breaks |= carriage
+    return np.flatnonzero(breaks)
+
+
+def _utf8_error(raw: bytes, breaks: np.ndarray) -> tuple[int, str] | None:
+    """(line number, message) of the line holding the first byte of raw that
+    is not UTF-8, or None."""
+    if raw.isascii():
+        return None
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = int(np.searchsorted(breaks, exc.start)) + 1
+        return line, f"line {line}: not UTF-8 text ({exc.reason})"
+    return None
+
+
+def _read_lines(source) -> _Text:
+    """The items of a handle or iterable joined by LF into UTF-8 bytes.
+
+    Each item is one line. A str line is encoded as it is (lone surrogates
+    included); a bytes line must be UTF-8 on its own.
+    """
+    lines: list = []
+    bad = None
+    try:
+        lines.extend(source)
+    except UnicodeDecodeError as exc:
+        # a text handle decodes ahead of the lines it yields, so the lines
+        # yielded before the error are parsed, and fail, first
+        bad = (len(lines) + 1,
+               f"line {_undecodable_line(source, len(lines))}: not UTF-8 text ({exc.reason})")
+    try:
+        joined = "\n".join(lines)
+    except TypeError:  # bytes lines, maybe mixed with str lines
+        joined = None
+    if joined is not None:
+        raw = joined.encode("utf-8", "surrogatepass")
+        breaks = _joints(lines)
+        if len(raw) != len(joined):  # character offsets to byte offsets
+            breaks = np.flatnonzero((np.frombuffer(raw, dtype=np.uint8) & 0xC0) != 0x80)[breaks]
+        del joined
+    else:
+        blobs = lines
+        try:
+            raw = b"\n".join(blobs)
+        except TypeError:  # str lines among them
+            blobs = list(map(_utf8, lines))
+            raw = b"\n".join(blobs)
+        breaks = _joints(blobs)
+        bad = bad or _first_undecodable(lines, raw, breaks)
+    return _Text(_padded(raw), len(raw), _offsets(breaks, len(raw)), bad)
+
+
+def _joints(items: list) -> np.ndarray:
+    """Offsets of the separators in the items joined by LF."""
+    sizes = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    return np.cumsum(sizes + 1)[:-1] - 1
+
+
+def _utf8(line) -> bytes:
+    return line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
+
+
+def _first_undecodable(lines: list, raw: bytes, breaks: np.ndarray) -> tuple[int, str] | None:
+    """(line number, message) of the first bytes line that is not UTF-8 on
+    its own, or None.
+
+    ``raw`` is the lines joined by LF and ``breaks`` the joints. Decoding the
+    joined bytes fails in the first such line, which is then decoded alone
+    for its error. A str line (encoded with its lone surrogates) is not
+    checked, so decoding resumes after it.
+    """
+    if raw.isascii():
+        return None
+    start = 0
+    while True:
+        try:
+            raw[start:].decode("utf-8")
+            return None
+        except UnicodeDecodeError as exc:
+            k = int(np.searchsorted(breaks, start + exc.start))
+        if isinstance(lines[k], bytes):
+            try:
+                lines[k].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return k + 1, f"line {k + 1}: not UTF-8 text ({exc.reason})"
+        if k == len(breaks):
+            return None
+        start = int(breaks[k]) + 1
+
+
+def _undecodable_line(source, lineno: int) -> int:
+    """Line holding the first byte of a text handle's file that is not UTF-8.
+
+    A text handle decodes ahead of the line it yields, so its error surfaces
+    while an earlier line is current; rescan its raw bytes when it has them.
     """
     buffer = getattr(source, "buffer", None)
     if buffer is None or not buffer.seekable():
         return lineno
     buffer.seek(0)
-    for i, line in enumerate(buffer.read().splitlines(), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return i
-    return lineno
+    raw = buffer.read()
+    bad = _utf8_error(raw, _line_breaks(np.frombuffer(raw, dtype=np.uint8)))
+    return lineno if bad is None else bad[0]
+
+
+def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
+    """(label id pairs, labels in id order) of the text's data lines.
+
+    Raises the ParseError of the first line that holds neither 0 nor 2
+    tokens (comment lines aside) or is not UTF-8, whichever comes first.
+    """
+    data, size = text.data, text.size
+    starts, ends = _token_bounds(data, size)
+    line = np.searchsorted(text.breaks, starts)
+    first = np.ones(len(starts), dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=first[1:])
+    comment = first & (data[starts] == ord("#"))
+    if comment.any():
+        keep = ~comment[first][np.cumsum(first) - 1]
+        starts, ends, line = starts[keep], ends[keep], line[keep]
+    del first, comment
+    counts = np.bincount(line)
+    del line
+    wrong = np.flatnonzero((counts != 0) & (counts != 2))
+    if text.bad is not None and (not wrong.size or text.bad[0] <= wrong[0] + 1):
+        raise ParseError(text.bad[1])
+    if wrong.size:
+        raise ParseError(f"line {wrong[0] + 1}: expected two vertex labels, "
+                         f"got {counts[wrong[0]]}")
+    del counts, wrong
+
+    length = ends - starts
+    del ends
+    # key: the first 7 bytes over a low byte min(length, 8), which tells
+    # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
+    keys = _words(data, starts, np.minimum(length, 7))
+    keys |= np.minimum(length, 8).astype(np.uint64)
+    longer = np.flatnonzero(length > 7)
+    if longer.size:
+        keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
+    ids, heads = _first_appearance_ids(keys)
+    del keys
+    return ids.reshape(-1, 2), _decode_labels(data, starts[heads], length[heads])
+
+
+def _token_bounds(data: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) offsets of the maximal runs of non-space bytes."""
+    token = np.zeros(size + 2, dtype=np.int8)
+    token[1:-1] = _TOKEN_BYTE[data[:size]]
+    lead = np.flatnonzero(_WIDE_LEAD[data[:size]])
+    if lead.size:
+        code = ((data[lead].astype(np.int64) << 16) | (data[lead + 1].astype(np.int64) << 8)
+                | data[lead + 2])
+        three = np.isin(code, _WIDE_3)
+        hit = lead[three | np.isin(code >> 8, _WIDE_2)] + 1
+        token[hit] = token[hit + 1] = 0
+        token[lead[three] + 3] = 0
+    step = np.diff(token)
+    del token
+    return _offsets(np.flatnonzero(step == 1), size), _offsets(np.flatnonzero(step == -1), size)
+
+
+def _offsets(values: np.ndarray, size: int) -> np.ndarray:
+    """Byte offsets into a text of ``size`` bytes, as int32 when they fit."""
+    return values.astype(np.int32) if size + _PAD <= np.iinfo(np.int32).max else values
+
+
+def _words(data: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+    """The 8 bytes at each offset as a big-endian uint64, keeping only the
+    first nbytes (1 to 8) of them and zeroing the rest."""
+    step = data.strides[0]
+    windows = np.lib.stride_tricks.as_strided(data, shape=(len(data) - 7, 8),
+                                              strides=(step, step))
+    words = windows[offsets].view(">u8").ravel()
+    words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+    mask = nbytes.astype(np.uint64)
+    mask *= np.uint64(8)
+    np.subtract(np.uint64(64), mask, out=mask)
+    np.left_shift(_ALL_BITS, mask, out=mask)
+    words &= mask
+    return words
+
+
+def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,
+               prefix: np.ndarray) -> np.ndarray:
+    """Keys (group << 8) | 8 of tokens longer than 7 bytes, equal exactly when
+    the tokens are.
+
+    Tokens are grouped by their first 7 bytes and length, then groups of two
+    or more are split by the next 8 bytes, word by word, until every group
+    is a single token or has been compared to its end.
+    """
+    group, count = _rank_pairs(prefix, length)
+    live = np.arange(len(starts))
+    offset = 7
+    while True:
+        live = live[length[live] > offset]
+        shared, _ = _rank(group[live])
+        live = live[np.bincount(shared)[shared] > 1]
+        if not live.size:
+            break
+        word = _words(data, starts[live] + offset, np.minimum(length[live] - offset, 8))
+        split, parts = _rank_pairs(group[live], word)
+        group[live] = count + split
+        count += parts
+        offset += 8
+    return (group.astype(np.uint64) << np.uint64(8)) | np.uint64(8)
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, by one sort and an adjacent-difference mask."""
+    values = np.sort(values)
+    if values.size:
+        keep = np.empty(values.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
+def _sort_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """argsort of values, and a mask marking where each run of equal values
+    begins in sorted order."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return order, new
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Index of each value among the sorted distinct values, and their number."""
+    order, new = _sort_runs(values)
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, int(np.count_nonzero(new))
+
+
+def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """_rank of the pairs (a[i], b[i])."""
+    ra, _ = _rank(a)
+    rb, nb = _rank(b)
+    return _rank(ra * np.int64(nb) + rb)
+
+
+def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of equal keys, numbered in order of first appearance, and
+    the index where each id first appears."""
+    if not len(keys):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order, new = _sort_runs(keys)
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(heads)
+    id_of_run = np.empty(len(heads), dtype=np.int64)
+    id_of_run[by_first] = np.arange(len(heads))
+    run = np.cumsum(new, dtype=np.int32 if len(heads) <= np.iinfo(np.int32).max else np.int64)
+    del new
+    run -= 1
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = id_of_run[run]
+    return ids, heads[by_first]
+
+
+def _decode_labels(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> list[str]:
+    """The tokens at (starts, length) as str, decoded from one joined buffer."""
+    if not len(starts):
+        return []
+    total = int(length.sum())
+    owner = np.repeat(np.arange(len(starts)), length)
+    body = np.arange(total) + owner  # each label byte's place, after one LF per label before
+    out = np.full(total + len(starts) - 1, ord("\n"), dtype=np.uint8)
+    at = np.cumsum(length + 1) - length - 1  # where each label begins in out
+    out[body] = data[body + (starts - at)[owner]]
+    return out.tobytes().decode("utf-8", "surrogatepass").split("\n")
 
 
 def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
@@ -349,8 +651,8 @@ def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
     The returned graph's labels are the source labels of the kept vertices,
     so the mapping back to ``g`` is retained.
     """
-    keep = np.unique(np.asarray(list(vertices), dtype=np.int64)) \
-        if not isinstance(vertices, np.ndarray) else np.unique(vertices.astype(np.int64))
+    keep = _sorted_distinct(np.asarray(
+        vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.vertex_count):
         bad = keep[0] if keep[0] < 0 else keep[-1]
         raise UsageError(f"vertex out of range: {int(bad)}")
@@ -360,5 +662,5 @@ def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
     remap = np.full(g.vertex_count, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
     pairs = np.stack([remap[g.edge_u[sel]], remap[g.edge_w[sel]]], axis=1)
-    labels = [g.label_of(int(v)) for v in keep]
+    labels = list(map(g.label_of, keep.tolist()))
     return UndirectedGraph.from_edges(pairs, vertex_count=keep.size, labels=labels)

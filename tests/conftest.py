@@ -57,6 +57,14 @@ def er_corpus(count: int, seed: int, sizes=(4, 64),
     return graphs
 
 
+def chung_lu(n: int, draws: int, exponent: float, seed: int) -> UndirectedGraph:
+    """Small skewed graph: endpoints drawn in proportion to power-law weights."""
+    rng = np.random.default_rng(seed)
+    weights = (np.arange(1, n + 1) / n) ** (-1 / (exponent - 1))
+    ends = rng.choice(n, size=(draws, 2), p=weights / weights.sum())
+    return UndirectedGraph.from_edges(ends, vertex_count=n)
+
+
 def community_graph(n_vertices: int, target_edges: int, seed: int) -> UndirectedGraph:
     """Clustered graph (many small cliques plus random edges), triangle-rich
     like citation networks, with at least target_edges edges."""

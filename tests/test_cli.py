@@ -125,6 +125,7 @@ class TestHostileInput:
         ["profile", "{g}", "--p", "0.5", "--seed", "-1"],
         ["ego", "{g}", "--random", "2", "--seed", "-1"],
         ["polys", "{g}", "--p", "0.5", "--max-wedges", "-1"],
+        ["profile", "{g}", "--vertex-count", "-1"],
     ])
     def test_negative_count(self, capsys, c5_file, argv):
         assert main([a.format(g=c5_file) for a in argv]) == 1

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from triprof import Engine, UsageError, compute_profile, ego_parallel
+from triprof import Engine, UsageError, compute_profile, ego_parallel, engine
 from triprof.engine import endpoint_sums, segment_sums
 from triprof.profiles import edge_triangle_counts
 
-from conftest import er_graph, star_graph
+from conftest import chung_lu, complete_graph, er_graph, star_graph
 
 
 def test_triangle_count_per_edge_over_k4(k4):
@@ -29,6 +29,26 @@ def test_star_reduce():
     star = star_graph(3)
     ones = np.ones(star.edge_count, dtype=np.int64)
     assert list(endpoint_sums(star, ones, ones)) == [3, 1, 1, 1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_graph(4), lambda: star_graph(7), lambda: chung_lu(200, 900, 1.8, seed=2),
+], ids=["k4", "star", "chung-lu"])
+def test_bincount_and_segment_routes_agree(build, monkeypatch):
+    g = build()
+    rng = np.random.default_rng(5)
+    u_side = rng.integers(0, 1 << 20, g.edge_count)
+    w_side = rng.integers(0, 1 << 20, g.edge_count)
+    segments = []
+    monkeypatch.setattr(engine, "segment_sums",
+                        lambda *args: segments.append(1) or segment_sums(*args))
+    by_bincount = endpoint_sums(g, u_side, w_side)
+    assert not segments
+    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", 0)
+    by_segments = endpoint_sums(g, u_side, w_side)
+    assert segments
+    assert by_bincount.dtype == by_segments.dtype == np.int64
+    assert np.array_equal(by_bincount, by_segments)
 
 
 def test_reduce_vector_records(c5):

@@ -17,7 +17,7 @@ import pytest
 from triprof import UndirectedGraph, census_terms, ego, ego_parallel, load_edge_list, profiles
 from triprof.oracle import brute_force_ego
 
-from conftest import complete_graph, star_graph
+from conftest import chung_lu, complete_graph, star_graph
 
 
 def brute_edge_triangles(g):
@@ -35,14 +35,6 @@ def hub_joined_cliques(sizes):
         pairs += [(0, a) for a in members]
         start += s
     return UndirectedGraph.from_edges(pairs)
-
-
-def chung_lu(n, draws, exponent, seed):
-    """Small skewed graph: endpoints drawn in proportion to power-law weights."""
-    rng = np.random.default_rng(seed)
-    weights = (np.arange(1, n + 1) / n) ** (-1 / (exponent - 1))
-    ends = rng.choice(n, size=(draws, 2), p=weights / weights.sum())
-    return UndirectedGraph.from_edges(ends, vertex_count=n)
 
 
 CASES = {
