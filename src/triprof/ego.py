@@ -18,7 +18,7 @@ import numpy as np
 from .engine import Engine, segment_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, induced_subgraph
-from .profiles import (_lookup, _orient, _ragged_steps, _triangle_steps, compute_profile,
+from .profiles import (_lookup, _ragged_steps, _triangle_steps, compute_profile, orient,
                        scatter_edge_scalars)
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
@@ -88,7 +88,7 @@ def _four_cliques_per_vertex(g: UndirectedGraph) -> np.ndarray:
     At most EXTENSION_BUDGET extensions are checked per step.
     """
     n = g.vertex_count
-    o = _orient(g)
+    o = orient(g)
     count = np.zeros(n, dtype=np.int64)
     for i, j, _ in _triangle_steps(o):
         a, b, c = o.src[i], o.dst[i], o.dst[j]

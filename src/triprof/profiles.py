@@ -6,6 +6,10 @@ isolated from both endpoints. The gather turns those scalars into each
 vertex's six-way triple census, and the global profile is one third of the
 vertex sums. All arithmetic is exact integer arithmetic, so results are
 independent of reduction order.
+
+A sampled graph's global profile needs no scatter: masked_profile counts its
+triangles on a masked view of the full graph's orientation and takes the
+other entries from the kept degrees.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import Engine, endpoint_sums
-from .errors import IntegrityError
+from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, check_key_packing
 
 # Sibling pairs checked per step, by the triangle enumeration and by the open
@@ -122,7 +126,9 @@ class Orientation(NamedTuple):
     out_ptr: np.ndarray  # rank r's out-list holds positions out_ptr[r]:out_ptr[r + 1]
 
 
-def _orient(g: UndirectedGraph) -> Orientation:
+def orient(g: UndirectedGraph) -> Orientation:
+    """The orientation every triangle enumeration starts from. Build it once
+    and pass it along when one command enumerates the same graph again."""
     n = g.vertex_count
     check_key_packing(n)
     rank = np.empty(n, dtype=np.int64)
@@ -168,8 +174,10 @@ def _sibling_pairs(ptr: np.ndarray, owner: np.ndarray):
     """Yield (p, q) position arrays for every p < q that share a segment
     ptr[r]:ptr[r + 1], where owner[p] is p's segment, PAIR_BUDGET pairs a step."""
     later = ptr[owner + 1] - np.arange(1, len(owner) + 1)
-    for p, offset in _ragged_steps(later, PAIR_BUDGET):
-        yield p, p + 1 + offset
+    for p, q in _ragged_steps(later, PAIR_BUDGET):
+        q += p  # offsets become positions in place: a step holds two arrays, not three
+        q += 1
+        yield p, q
 
 
 def _triangle_steps(o: Orientation):
@@ -177,14 +185,21 @@ def _triangle_steps(o: Orientation):
     every triangle with ranks a < b < c, one array triple per step.
 
     This is compact-forward enumeration: a triangle is found exactly once, as
-    the sibling pair (b, c) in a's out-list closed by the edge b -> c.
+    the sibling pair (b, c) in a's out-list closed by the edge b -> c. Each
+    step's closing-edge queries are sorted first, so that the binary searches
+    sweep the keys forward instead of probing them at random.
     """
     for i, j in _sibling_pairs(o.out_ptr, o.src):
-        k, found = _lookup(o.keys, o.dst[i] * np.int64(o.n) + o.dst[j])
-        yield i[found], j[found], k[found]
+        query = o.dst[i] * np.int64(o.n) + o.dst[j]
+        s = np.argsort(query)
+        k, found = _lookup(o.keys, query[s])
+        s, k = s[found], k[found]
+        del query, found  # not held while the consumer works on the step
+        yield i[s], j[s], k
 
 
-def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np.ndarray:
+def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,
+                         orientation: Orientation | None = None) -> np.ndarray:
     """Triangles containing each edge, i.e. the common-neighbor count of its endpoints.
 
     Every triangle of the compact-forward enumeration is counted on its three
@@ -192,9 +207,10 @@ def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np
     over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked at most
     PAIR_BUDGET at a time, so a hub's out-list is split across steps and the
     temporaries stay bounded. The kernel is serial; ``engine`` is not used.
+    ``orientation`` is ``orient(g)``, built here when not given.
     """
     m = g.edge_count
-    o = _orient(g)
+    o = orient(g) if orientation is None else orientation
     hits = np.zeros(m, dtype=np.int64)
     for i, j, k in _triangle_steps(o):
         hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
@@ -203,11 +219,45 @@ def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None) -> np
     return tri
 
 
-def scatter_edge_scalars(g: UndirectedGraph, engine: Engine | None = None) -> EdgeScalars:
+def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
+    """Exact global profile of the graph that keeps the edges in ``mask`` (one
+    entry per edge id) on all o.n vertices, counted on a masked view of the
+    full graph's orientation ``o`` without building that graph.
+
+    The kept positions of the sorted keys stay sorted, so only the out-list
+    pointers are rebuilt. Triangles are enumerated on that view as in
+    edge_triangle_counts and only counted; every other entry follows from the
+    kept degrees d and the kept edge count m: n2 = sum C(d, 2) - 3*n3,
+    n1 = m*(n - 2) - 2*n2 - 3*n3 (each edge with each third vertex) and
+    n0 = C(n, 3) - n1 - n2 - n3. The
+    work is the kept sibling pairs, about p**2 of the full graph's when each
+    edge is kept with probability p.
+    """
+    n, m = o.n, len(o.keys)
+    if len(mask) != m:
+        raise UsageError(f"mask has {len(mask)} entries for {m} edges")
+    kept = np.flatnonzero(np.asarray(mask)[o.order])
+    src, dst = o.src[kept], o.dst[kept]
+    out_deg = np.bincount(src, minlength=n)
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_deg, out=out_ptr[1:])
+    view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, out_ptr)
+    n3 = sum(len(k) for _, _, k in _triangle_steps(view))
+    deg = out_deg + np.bincount(dst, minlength=n)
+    n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * n3
+    n1 = len(kept) * (n - 2) - 2 * n2 - 3 * n3
+    n0 = math.comb(n, 3) - n1 - n2 - n3
+    if min(n0, n1, n2, n3) < 0:
+        raise IntegrityError(f"negative masked profile entry: {(n0, n1, n2, n3)}")
+    return ProfileVector(n0, n1, n2, n3)
+
+
+def scatter_edge_scalars(g: UndirectedGraph, engine: Engine | None = None,
+                         orientation: Orientation | None = None) -> EdgeScalars:
     """Per-edge scalars: triangle count, both directional wedge counts, isolated count."""
     engine = engine or Engine()
     start = time.perf_counter()
-    tri = edge_triangle_counts(g, engine)
+    tri = edge_triangle_counts(g, engine, orientation)
     deg = g.degrees
     du = deg[g.edge_u]
     dw = deg[g.edge_w]
@@ -232,23 +282,21 @@ def gather_local_profiles(g: UndirectedGraph, scalars: EdgeScalars,
                           engine: Engine | None = None) -> LocalProfile:
     """Accumulate edge scalars at each endpoint into the six local counts.
 
-    Centers halve their own-side wedge sums (each centered wedge is seen from
-    both of its edges), endpoints sum the far-side scalars, and triangle sums
-    are halved for the same double-counting reason.
+    Two endpoint sums are needed: the triangle counts, halved because each
+    triangle at v is seen from both of its edges at v, and the far-side
+    wedge counts, which give n2_e. The own-side wedge and isolated-vertex
+    sums have closed forms in d = d(v): n2_c = C(d, 2) - n3 (each centered
+    wedge is seen from both of its edges) and n1_e = d*(n - 1 - d) - n2_e.
     """
     engine = engine or Engine()
     start = time.perf_counter()
     n, m = g.vertex_count, g.edge_count
-    sum_tri = endpoint_sums(g, scalars.tri, scalars.tri)
-    sum_own = endpoint_sums(g, scalars.wedge_at_u, scalars.wedge_at_w)
-    sum_far = endpoint_sums(g, scalars.wedge_at_w, scalars.wedge_at_u)
-    sum_iso = endpoint_sums(g, scalars.iso, scalars.iso)
-
-    n3 = _halved(sum_tri, "triangle", g)
-    n2_c = _halved(sum_own, "centered-wedge", g)
-    n2_e = sum_far
-    n1_e = sum_iso
-    n1_d = m - g.degrees - n3 - n2_e
+    deg = g.degrees
+    n3 = _halved(endpoint_sums(g, scalars.tri, scalars.tri), "triangle", g)
+    n2_e = endpoint_sums(g, scalars.wedge_at_w, scalars.wedge_at_u)
+    n2_c = deg * (deg - 1) // 2 - n3
+    n1_e = deg * (n - 1 - deg) - n2_e
+    n1_d = m - deg - n3 - n2_e
     bad = np.flatnonzero(n1_d < 0)
     if bad.size:
         v = int(bad[0])
@@ -282,11 +330,12 @@ def global_profile_from_local(locals_: LocalProfile) -> ProfileVector:
     return ProfileVector(*out)
 
 
-def compute_profile(g: UndirectedGraph,
-                    engine: Engine | None = None) -> tuple[ProfileVector, LocalProfile]:
-    """Full pipeline: scatter, gather, aggregate."""
+def compute_profile(g: UndirectedGraph, engine: Engine | None = None,
+                    orientation: Orientation | None = None) -> tuple[ProfileVector, LocalProfile]:
+    """Full pipeline: scatter, gather, aggregate. ``orientation`` is
+    ``orient(g)``, built here when not given."""
     engine = engine or Engine()
-    scalars = scatter_edge_scalars(g, engine)
+    scalars = scatter_edge_scalars(g, engine, orientation)
     locals_ = gather_local_profiles(g, scalars, engine)
     return global_profile_from_local(locals_), locals_
 

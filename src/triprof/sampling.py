@@ -9,14 +9,16 @@ exact rational arithmetic so the configuration total is preserved exactly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .engine import Engine
 from .errors import UsageError
 from .graph import UndirectedGraph
-from .profiles import ProfileVector
+from .profiles import Orientation, ProfileVector, masked_profile, orient
 
 # splitmix64 mixing constants
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -38,19 +40,30 @@ class SampleParams:
             raise UsageError("seed must fit in 64 bits")
 
 
-def _uniform01(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) value per index, a pure function of (seed, index)."""
+def _uniform01(seed: int, count: int) -> np.ndarray:
+    """Uniform [0,1) value per index 0..count-1, a pure function of (seed, index).
+
+    The mixing runs in place on one uint64 array, so a mask over every edge
+    holds few edge-length temporaries beside the graph and its orientation.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + (indices.astype(np.uint64) + np.uint64(1)) * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        z *= _GAMMA
+        z += np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 1.0 / (1 << 53)
+    return out
 
 
 def sample_mask(g: UndirectedGraph, params: SampleParams) -> np.ndarray:
     """Per-edge keep decisions; replaying the same seed is bit-identical."""
-    return _uniform01(params.seed, np.arange(g.edge_count, dtype=np.int64)) < params.p
+    return _uniform01(params.seed, g.edge_count) < params.p
 
 
 def sample_edges(g: UndirectedGraph,
@@ -119,11 +132,22 @@ def unbiased_estimate(y: ProfileVector, p: float) -> ProfileVector:
     return ProfileVector(x0, x1, x2, x3)
 
 
-def estimate_profile(g: UndirectedGraph, params: SampleParams,
-                     engine=None) -> tuple[ProfileVector, ProfileVector]:
-    """One sampled run: returns (estimate, sampled-graph profile)."""
-    from .profiles import compute_profile
+def estimate_profile(g: UndirectedGraph, params: SampleParams, engine: Engine | None = None,
+                     orientation: Orientation | None = None) -> tuple[ProfileVector, ProfileVector]:
+    """One sampled run: returns (estimate, sampled-graph profile).
 
-    sub, _ = sample_edges(g, params)
-    sampled, _ = compute_profile(sub, engine)
-    return unbiased_estimate(sampled, params.p), sampled
+    The sampled graph is never built: its profile is counted on a masked view
+    of ``orientation``, which is ``orient(g)`` (built here when not given, so
+    pass it when several runs share one graph). The run is recorded as one
+    phase, ``sampled-run:<seed>``, whose byte counters are those of the kept
+    edges: one key each scattered, two endpoint degrees each gathered.
+    """
+    engine = engine or Engine()
+    start = time.perf_counter()
+    mask = sample_mask(g, params)
+    sampled = masked_profile(orient(g) if orientation is None else orientation, mask)
+    estimate = unbiased_estimate(sampled, params.p)
+    kept = int(np.count_nonzero(mask))
+    engine.record(f"sampled-run:{params.seed}", time.perf_counter() - start,
+                  bytes_scattered=8 * kept, bytes_gathered=2 * 8 * kept)
+    return estimate, sampled

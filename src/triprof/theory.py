@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import (EdgeScalars, ProfileVector, _exact_sum, _lookup, _orient,
-                       _sibling_pairs, _triangle_steps, scatter_edge_scalars)
+from .profiles import (EdgeScalars, ProfileVector, _exact_sum, _lookup, _sibling_pairs,
+                       _triangle_steps, orient, scatter_edge_scalars)
 
 A1 = 8.0
 A2 = 8.0 ** 2 * math.sqrt(2.0)
@@ -78,7 +78,7 @@ def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTable
     ``max_wedges`` before any wedge is enumerated.
     """
     n, m = g.vertex_count, g.edge_count
-    o = _orient(g)
+    o = orient(g)
     tri = np.concatenate([np.zeros((0, 3), dtype=np.int64)]
                          + [o.order[np.stack(step, axis=1)] for step in _triangle_steps(o)])
     deg = g.degrees

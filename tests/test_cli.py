@@ -49,6 +49,31 @@ class TestProfileCommand:
         assert len(report["runs"]) == 20
         assert report["sampling"] == {"p": 0.5, "seed": 7, "runs": 20}
 
+    def test_sampled_phases_keyed_by_seed(self, capsys, c5_file):
+        code, report = run_cli(capsys, "profile", c5_file, "--p", "0.5",
+                               "--seed", "7", "--runs", "3", "--no-timing")
+        assert code == 0
+        assert [ph["name"] for ph in report["phases"]] == [
+            "sampled-run:7", "sampled-run:8", "sampled-run:9"]
+
+    @pytest.mark.parametrize("extra", [["--compare-exact"], ["--local-tsv", "local.tsv"]])
+    def test_exact_and_sampled_share_one_orientation(self, capsys, c5_file, tmp_path,
+                                                     monkeypatch, extra):
+        from triprof import cli, profiles, sampling
+
+        calls, real = [], profiles.orient
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        for module in (cli, profiles, sampling):
+            monkeypatch.setattr(module, "orient", counted)
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(capsys, "profile", c5_file, "--p", "0.5", "--runs", "3", *extra)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_local_tsv(self, capsys, c5_file, tmp_path):
         out = tmp_path / "local.tsv"
         code, report = run_cli(capsys, "profile", c5_file, "--local-tsv", str(out))

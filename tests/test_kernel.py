@@ -1,5 +1,6 @@
-"""The shared triangle enumeration and its three consumers against brute force:
-per-edge triangle counts, ego profiles and the polynomial term tables.
+"""The shared triangle enumeration and its consumers against brute force:
+per-edge triangle counts, ego profiles and the polynomial term tables, and
+the masked sampled profile against a rebuilt subgraph.
 
 Every case also runs with the step budgets (pairs per step, and triangle
 extensions per step of the 4-clique pass) at 1 and at a small prime, so that
@@ -13,8 +14,11 @@ from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triprof import UndirectedGraph, census_terms, ego, ego_parallel, load_edge_list, profiles
+from triprof import (UndirectedGraph, UsageError, census_terms, compute_profile, ego,
+                     ego_parallel, load_edge_list, profiles, subgraph_from_mask)
 from triprof.oracle import brute_force_ego
 
 from conftest import chung_lu, complete_graph, star_graph
@@ -124,3 +128,42 @@ def test_census_terms_match_brute_force(name, budget, monkeypatch):
     assert sorted(map(tuple, got_wedges.tolist())) == wedges
     assert terms.iso_weight.tolist() == iso
     assert terms.n0 == n0
+
+
+def rebuilt_profile(g, mask):
+    return compute_profile(subgraph_from_mask(g, mask))[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([0.0, 1e-9, 0.1, 0.5, 0.9, 1 - 1e-9, 1.0]) | st.floats(0, 1))
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_masked_profile_matches_rebuilt_subgraph(name, budget, seed, p):
+    g = CASES[name]
+    mask = np.random.default_rng(seed).random(g.edge_count) < p
+    with pytest.MonkeyPatch.context() as mp:
+        set_budget(budget, mp)
+        got = profiles.masked_profile(profiles.orient(g), mask)
+    assert got == rebuilt_profile(g, mask)
+    assert all(type(x) is int for x in got.as_tuple())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_masked_profile_keeps_all_or_nothing(name):
+    g = CASES[name]
+    o = profiles.orient(g)
+    assert profiles.masked_profile(o, np.ones(g.edge_count, dtype=bool)) == compute_profile(g)[0]
+    empty = profiles.masked_profile(o, np.zeros(g.edge_count, dtype=bool))
+    assert empty.as_tuple() == (math.comb(g.vertex_count, 3), 0, 0, 0)
+
+
+@pytest.mark.parametrize("length", [0, 5, 7])
+def test_mask_of_wrong_length_is_usage_error(length):
+    g = CASES["hub-cliques-padded"]  # 12 edges
+    mask = np.ones(length, dtype=bool)
+    with pytest.raises(UsageError):
+        profiles.masked_profile(profiles.orient(g), mask)
+    with pytest.raises(UsageError):
+        subgraph_from_mask(g, mask)
+

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (ProfileVector, SampleParams, UsageError, compute_profile,
+from triprof import (Engine, ProfileVector, SampleParams, UsageError, compute_profile,
                      expected_sampled_profile, sample_edges, sample_mask,
                      transition_matrix, unbiased_estimate)
+from triprof.profiles import orient
 from triprof.sampling import estimate_profile
 
 from conftest import er_graph
@@ -130,3 +131,42 @@ def test_sampled_profile_estimate_on_er_graph():
     est, sampled = estimate_profile(g, SampleParams(0.6, 5))
     assert est.total() == exact.total()
     assert sampled.total() == exact.total()
+
+
+def test_estimate_is_the_same_with_a_passed_orientation():
+    g = er_graph(40, 0.25, np.random.default_rng(23))
+    o = orient(g)
+    for seed in range(5):
+        params = SampleParams(0.4, seed)
+        built = estimate_profile(g, params)
+        passed = estimate_profile(g, params, orientation=o)
+        assert built == passed
+        sub, _ = sample_edges(g, params)
+        assert built[1] == compute_profile(sub)[0]
+
+
+def test_each_run_is_one_phase_keyed_by_seed():
+    g = er_graph(40, 0.25, np.random.default_rng(24))
+    engine = Engine(1)
+    for seed in (5, 9):
+        estimate_profile(g, SampleParams(0.5, seed), engine)
+    assert [s.phase_name for s in engine.phases] == ["sampled-run:5", "sampled-run:9"]
+    for stats, seed in zip(engine.phases, (5, 9)):
+        kept = int(sample_mask(g, SampleParams(0.5, seed)).sum())
+        assert (stats.bytes_scattered, stats.bytes_gathered) == (8 * kept, 16 * kept)
+
+
+def test_mask_is_the_splitmix64_stream():
+    """Edge e is kept when (splitmix64(seed + (e + 1) * gamma) >> 11) / 2**53 < p;
+    the reference below uses Python ints, so the vectorized stream cannot drift."""
+    def uniform(seed, e):
+        z = (seed + (e + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        return ((z ^ (z >> 31)) >> 11) / 2 ** 53
+
+    g = er_graph(40, 0.3, np.random.default_rng(25))
+    for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
+        for p in (0.3, 0.9):
+            expect = [uniform(seed, e) < p for e in range(g.edge_count)]
+            assert sample_mask(g, SampleParams(p, seed)).tolist() == expect
