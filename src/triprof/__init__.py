@@ -8,7 +8,7 @@ feasibility conditions, and ships brute-force oracles that verify every count
 at desk scale.
 """
 
-from .ego import EgoProfile, ego_parallel, ego_serial
+from .ego import EgoProfile, EgoTable, ego_parallel, ego_serial
 from .engine import Engine, PhaseStats
 from .errors import IntegrityError, ParseError, UsageError
 from .graph import EdgeRef, UndirectedGraph, induced_subgraph, load_edge_list
@@ -32,7 +32,7 @@ __all__ = [
     "count_triangles_only",
     "SampleParams", "sample_edges", "sample_mask", "subgraph_from_mask",
     "transition_matrix", "unbiased_estimate", "expected_sampled_profile",
-    "EgoProfile", "ego_serial", "ego_parallel",
+    "EgoProfile", "EgoTable", "ego_serial", "ego_parallel",
     "EdgeExtremes", "PolynomialValues", "TheoremReport", "edge_extremes",
     "census_terms", "evaluate_polynomials", "check_theorem_conditions",
     "UsageError", "ParseError", "IntegrityError",

@@ -166,29 +166,45 @@ def _finish(args, engine: Engine, report: dict, started: float) -> dict:
     return report
 
 
-def _select_centers(args, g: UndirectedGraph) -> list[int]:
+def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
     chosen = sum(1 for f in (args.centers, args.random, args.all if args.all else None)
                  if f is not None)
     if chosen != 1:
         raise UsageError("pick exactly one of --centers, --random, --all")
     if args.all:
-        return list(range(g.vertex_count))
+        return np.arange(g.vertex_count, dtype=np.int64)
     if args.random is not None:
         if args.random < 0:
             raise UsageError("--random must be non-negative")
         rng = np.random.default_rng(args.seed)
         k = min(args.random, g.vertex_count)
-        return sorted(int(v) for v in rng.choice(g.vertex_count, size=k, replace=False))
-    lines = Path(args.centers).read_text().splitlines()
-    return [g.id_of_label(line.strip()) for line in lines if line.strip()]
+        return np.sort(rng.choice(g.vertex_count, size=k, replace=False)).astype(np.int64)
+    raw = Path(args.centers).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the bad byte: one more than the breaks before it
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"--centers line {line}: not UTF-8 text ({exc.reason})") from None
+    labels = [line.strip() for line in text.splitlines() if line.strip()]
+    return np.array([g.id_of_label(label) for label in labels], dtype=np.int64)
 
 
-def _write_local_tsv(path: str, g: UndirectedGraph, locals_) -> None:
+def _labels_of(g: UndirectedGraph, ids: np.ndarray) -> list[str]:
+    labels = g.labels
+    if labels is None:
+        return list(map(str, ids.tolist()))
+    return [labels[v] for v in ids.tolist()]
+
+
+def _write_tsv(path: str, header: str, labels: list[str], columns) -> None:
+    """Write the header line, then one line per label: the label and its
+    entry of each integer column, tab-separated."""
+    row = "%s" + "\t%d" * len(columns) + "\n"
     with open(path, "w") as fh:
-        fh.write("vertex\tn0\tn1_e\tn1_d\tn2_e\tn2_c\tn3\n")
-        for v in range(g.vertex_count):
-            row = locals_.row(v)
-            fh.write(g.label_of(v) + "\t" + "\t".join(str(x) for x in row) + "\n")
+        fh.write(header + "\n")
+        fh.write("".join(map(row.__mod__, zip(labels, *(c.tolist() for c in columns)))))
 
 
 def _cmd_profile(args) -> dict:
@@ -210,7 +226,10 @@ def _cmd_profile(args) -> dict:
         exact, locals_ = compute_profile(g, engine, o)
         report["global"] = exact.as_json()
         if args.local_tsv:
-            _write_local_tsv(args.local_tsv, g, locals_)
+            _write_tsv(args.local_tsv, "vertex\tn0\tn1_e\tn1_d\tn2_e\tn2_c\tn3",
+                       _labels_of(g, np.arange(g.vertex_count)),
+                       [locals_.n0, locals_.n1_e, locals_.n1_d, locals_.n2_e,
+                        locals_.n2_c, locals_.n3])
             report["local_path"] = args.local_tsv
 
     if args.p < 1.0:
@@ -243,15 +262,15 @@ def _cmd_profile(args) -> dict:
     return _finish(args, engine, report, started)
 
 
-def _ego_rows(g: UndirectedGraph, profiles: dict[int, "ego_mod.EgoProfile"]):
-    return [[g.label_of(v)] + list(p.as_tuple()) for v, p in profiles.items()]
-
-
-def _write_ego_tsv(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("center\tf0\tf1\tf2\tf3\n")
-        for row in rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
+def _add_ego_table(args, g: UndirectedGraph, table: "ego_mod.EgoTable", report: dict) -> None:
+    """Write the table to --tsv, or embed its rows as the report's ``egos``."""
+    labels = _labels_of(g, table.centers)
+    report["centers"] = len(labels)
+    if args.tsv:
+        _write_tsv(args.tsv, "center\tf0\tf1\tf2\tf3", labels, list(table.counts.T))
+        report["table_path"] = args.tsv
+    else:
+        report["egos"] = list(map(list, zip(labels, *table.counts.T.tolist())))
 
 
 def _cmd_ego(args) -> dict:
@@ -260,15 +279,9 @@ def _cmd_ego(args) -> dict:
     engine = Engine(args.threads)
     centers = _select_centers(args, g)
     run = ego_mod.ego_serial if args.mode == "serial" else ego_mod.ego_parallel
-    profiles = run(g, centers, engine)
-    rows = _ego_rows(g, profiles)
-    report: dict = {"command": "ego", "graph": _graph_block(args, g),
-                    "mode": args.mode, "centers": len(profiles)}
-    if args.tsv:
-        _write_ego_tsv(args.tsv, rows)
-        report["table_path"] = args.tsv
-    else:
-        report["egos"] = rows
+    table = run(g, centers, engine)
+    report: dict = {"command": "ego", "graph": _graph_block(args, g), "mode": args.mode}
+    _add_ego_table(args, g, table, report)
     return _finish(args, engine, report, started)
 
 
@@ -279,15 +292,11 @@ def _cmd_oracle(args) -> dict:
     report: dict = {"command": "oracle", "graph": _graph_block(args, g),
                     "method": "brute-force"}
     if args.ego:
-        centers = _select_centers(args, g)
-        profiles = {v: oracle_mod.brute_force_ego(g, v) for v in dict.fromkeys(centers)}
-        rows = _ego_rows(g, profiles)
-        report["centers"] = len(profiles)
-        if args.tsv:
-            _write_ego_tsv(args.tsv, rows)
-            report["table_path"] = args.tsv
-        else:
-            report["egos"] = rows
+        ids = list(dict.fromkeys(_select_centers(args, g).tolist()))
+        counts = [oracle_mod.brute_force_ego(g, v).as_tuple() for v in ids]
+        _add_ego_table(args, g, ego_mod.EgoTable(np.array(ids, dtype=np.int64),
+                                             np.array(counts, dtype=np.int64).reshape(-1, 4)),
+                   report)
     else:
         report["global"] = oracle_mod.brute_force_profile(g).as_json()
     if args.four_cliques:

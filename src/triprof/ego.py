@@ -2,15 +2,18 @@
 
 Two routes produce identical results. The serial route materializes each
 neighborhood subgraph and runs the profile pipeline on it. The parallel route
-never builds the subgraphs: shared per-edge scalars feed three pivot sums per
-center, a per-vertex 4-clique count taken from the shared triangle enumeration
-supplies the one count the pivots cannot separate, and the remaining entries
-follow by exact arithmetic.
+never builds the subgraphs. One oriented triangle enumeration gives each
+edge's triangle count and each vertex's 4-clique count. Three pivot sums per
+center follow from the triangle counts on the center's edges and the center's
+degree; the 4-clique count supplies the one entry the pivots cannot separate,
+and the remaining entries follow by exact arithmetic, for all centers at once
+on arrays.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +21,7 @@ import numpy as np
 from .engine import Engine, segment_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, induced_subgraph
-from .profiles import (_lookup, _ragged_steps, _triangle_steps, compute_profile, orient,
-                       scatter_edge_scalars)
+from .profiles import _lookup, _ragged_steps, _triangle_steps, compute_profile, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -42,113 +44,151 @@ class EgoProfile:
         return self.f0 + self.f1 + self.f2 + self.f3
 
 
-@dataclass(frozen=True)
-class PivotSums:
-    """Per-center pivot accumulators over incident edges.
+class EgoTable(Mapping):
+    """Ego profiles of distinct centers in selection order, as two arrays:
+    ``centers`` (int64, k) and ``counts`` (int64, k x 4, columns f0..f3).
 
-    p1 = sum of C(own-side wedge count, 2)  -> 3*f0 + f1
-    p2 = sum of C(triangle count, 2)        -> f2 + 3*f3
-    p3 = sum of own-side wedge * triangle   -> 2*f1 + 2*f2
+    It reads as a mapping from center id to EgoProfile; profiles are made
+    when asked for, so writers that walk the arrays never build them.
     """
 
-    p1: int
-    p2: int
-    p3: int
+    def __init__(self, centers: np.ndarray, counts: np.ndarray):
+        self.centers = centers
+        self.counts = counts
+        centers.setflags(write=False)
+        counts.setflags(write=False)
+        self._row: dict[int, int] | None = None
+
+    def __getitem__(self, v) -> EgoProfile:
+        if self._row is None:
+            self._row = {c: i for i, c in enumerate(self.centers.tolist())}
+        return EgoProfile(*self.counts[self._row[v]].tolist())
+
+    def __iter__(self):
+        return iter(self.centers.tolist())
+
+    def __len__(self) -> int:
+        return len(self.centers)
 
 
-def _dedup_centers(g: UndirectedGraph, centers) -> list[int]:
-    seen: dict[int, None] = {}
-    for c in centers:
-        c = int(c)
-        if not 0 <= c < g.vertex_count:
-            raise UsageError(f"center out of range: {c}")
-        seen.setdefault(c, None)
-    return list(seen)
+def _dedup_centers(g: UndirectedGraph, centers) -> np.ndarray:
+    """Distinct center ids in order of first appearance; UsageError on the
+    first id out of range."""
+    try:
+        ids = np.asarray(centers if isinstance(centers, np.ndarray) else list(centers),
+                         dtype=np.int64)
+    except OverflowError:
+        raise UsageError("center out of range: beyond int64") from None
+    bad = np.flatnonzero((ids < 0) | (ids >= g.vertex_count))
+    if bad.size:
+        raise UsageError(f"center out of range: {ids[bad[0]]}")
+    _, first = np.unique(ids, return_index=True)
+    return ids[np.sort(first)]
 
 
-def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> dict[int, EgoProfile]:
+def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
     """One center at a time: induce the neighborhood subgraph and profile it."""
     engine = engine or Engine()
     start = time.perf_counter()
-    out: dict[int, EgoProfile] = {}
-    for v in _dedup_centers(g, centers):
-        sub = induced_subgraph(g, g.neighbors(v))
-        prof, _ = compute_profile(sub, Engine(workers=1))
-        out[v] = EgoProfile(prof.n0, prof.n1, prof.n2, prof.n3)
+    ids = _dedup_centers(g, centers)
+    counts = np.zeros((len(ids), 4), dtype=np.int64)
+    for row, v in enumerate(ids.tolist()):
+        prof, _ = compute_profile(induced_subgraph(g, g.neighbors(v)), Engine(workers=1))
+        counts[row] = prof.as_tuple()
     engine.record("ego-serial", time.perf_counter() - start)
-    return out
+    return EgoTable(ids, counts)
 
 
-def _four_cliques_per_vertex(g: UndirectedGraph) -> np.ndarray:
-    """4-cliques containing each vertex, by extending every triangle.
+def _triangles_and_four_cliques(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles on each edge (by edge id) and 4-cliques at each vertex, from
+    one orientation and one triangle enumeration.
 
-    Each triangle a < b < c of the oriented enumeration is extended by every
-    d in c's out-list whose edges a -> d and b -> d exist (Chiba & Nishizeki),
-    so each 4-clique is found once, from its three lowest-ranked vertices.
-    At most EXTENSION_BUDGET extensions are checked per step.
+    Each step's triangles are counted on their three edges, as in
+    edge_triangle_counts, and then each triangle a < b < c (in rank order) is
+    extended by every d in c's out-list whose edges a -> d and b -> d exist
+    (Chiba & Nishizeki), so each 4-clique is found once, from its three
+    lowest-ranked vertices. At most EXTENSION_BUDGET extensions are checked
+    per step. Every step's arrays are released before the next is asked for.
     """
-    n = g.vertex_count
+    n, m = g.vertex_count, g.edge_count
     o = orient(g)
+    hits = np.zeros(m, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
-    for i, j, _ in _triangle_steps(o):
+    for i, j, k in _triangle_steps(o):
+        hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
         a, b, c = o.src[i], o.dst[i], o.dst[j]
+        del i, j, k
         for t, offset in _ragged_steps(o.out_ptr[c + 1] - o.out_ptr[c], EXTENSION_BUDGET):
             d = o.dst[o.out_ptr[c[t]] + offset]
-            found = _lookup(o.keys, a[t] * np.int64(n) + d)[1]
-            t, d = t[found], d[found]
+            del offset
+            # b -> d first: the step's triangles are sorted by b -> c, so these
+            # queries sweep the keys forward
             found = _lookup(o.keys, b[t] * np.int64(n) + d)[1]
             t, d = t[found], d[found]
+            found = _lookup(o.keys, a[t] * np.int64(n) + d)[1]
+            t, d = t[found], d[found]
             count += np.bincount(np.concatenate([a[t], b[t], c[t], d]), minlength=n)
-    return count[o.rank]
+            del t, d, found
+        del a, b, c
+    tri = np.empty(m, dtype=np.int64)
+    tri[o.order] = hits
+    return tri, count[o.rank]
 
 
-def ego_parallel(g: UndirectedGraph, centers,
-                 engine: Engine | None = None) -> dict[int, EgoProfile]:
-    """All centers in shared phases; identical results to ego_serial.
+def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
+    """All centers in two array phases; identical results to ego_serial.
 
-    A center's triangles-in-neighborhood count f3 is the number of 4-cliques
-    containing it. The 4-clique pass runs, and frees its orientation, before
-    the edge scalars are scattered, so the two passes never hold their
-    temporaries at once.
+    The scatter phase counts each edge's triangles and each vertex's
+    4-cliques in one pass. A center's f3 (triangles among its neighbors) is
+    its 4-clique count. The gather phase sums three pivots over each center's
+    edges, where an edge with t triangles has own = d(center) - 1 - t wedges
+    centered at the center:
+
+    p1 = sum of C(own, 2)   = 3*f0 + f1
+    p2 = sum of C(t, 2)     = f2 + 3*f3
+    p3 = sum of own * t     = 2*f1 + 2*f2
+
+    and the other three entries follow by exact arithmetic.
     """
     engine = engine or Engine()
-    order = _dedup_centers(g, centers)
+    ids = _dedup_centers(g, centers)
 
     start = time.perf_counter()
-    cliques = _four_cliques_per_vertex(g)
-    engine.record("ego:scatter-clique-counts", time.perf_counter() - start,
-                  bytes_scattered=8 * g.vertex_count)
-    scalars = scatter_edge_scalars(g, engine)
+    tri, cliques = _triangles_and_four_cliques(g)
+    engine.record("ego:scatter-triangles-cliques", time.perf_counter() - start,
+                  bytes_scattered=8 * g.edge_count + 8 * g.vertex_count)
 
-    # Gather: exact pivot sums over each center's incident edges.
     start = time.perf_counter()
-    ids = np.asarray(order, dtype=np.int64)
     deg = g.degrees[ids]
     bounds = np.concatenate([[0], np.cumsum(deg)])
     pos = np.repeat(g.indptr[ids] - bounds[:-1], deg) + np.arange(bounds[-1])
-    eids = g.edges_at(pos)
-    own = np.where(g.indices[pos] > g.position_rows[pos],
-                   scalars.wedge_at_u[eids], scalars.wedge_at_w[eids])
-    tri = scalars.tri[eids]
-    sums = segment_sums(np.stack([own * (own - 1) // 2, tri * (tri - 1) // 2, own * tri],
-                                 axis=1), bounds)
-    out = {v: _solve_pivots(g, v, PivotSums(p1, p2, p3), int(cliques[v]))
-           for v, (p1, p2, p3) in zip(order, sums.tolist())}
+    t = tri[g.edges_at(pos)]
+    del pos, tri
+    own = np.repeat(deg, deg) - 1 - t
+    sums = segment_sums(np.stack([own * (own - 1) // 2, t * (t - 1) // 2, own * t], axis=1),
+                        bounds)
+    counts = _solve_pivots(g, ids, sums, cliques[ids])
     engine.record("ego:gather-pivots", time.perf_counter() - start,
-                  bytes_gathered=8 * 3 * int(bounds[-1]) + 8 * len(order))
-    return out
+                  bytes_gathered=8 * 3 * int(bounds[-1]) + 8 * len(ids))
+    return EgoTable(ids, counts)
 
 
-def _solve_pivots(g: UndirectedGraph, v: int, piv: PivotSums, f3: int) -> EgoProfile:
-    name = f"center {g.label_of(v)} (id {v})"
-    f2 = piv.p2 - 3 * f3
-    if piv.p3 % 2:
-        raise IntegrityError(f"odd wedge-triangle pivot at {name}")
-    f1 = piv.p3 // 2 - f2
-    rem = piv.p1 - f1
-    if rem % 3:
-        raise IntegrityError(f"indivisible endpoint pivot at {name}")
-    f0 = rem // 3
-    if min(f0, f1, f2, f3) < 0:
-        raise IntegrityError(f"negative neighborhood count at {name}")
-    return EgoProfile(f0, f1, f2, f3)
+def _solve_pivots(g: UndirectedGraph, ids: np.ndarray, sums: np.ndarray,
+                  f3: np.ndarray) -> np.ndarray:
+    """(k, 4) counts f0..f3 from the centers' (k, 3) pivot sums p1..p3 and
+    their f3. IntegrityError names the first center, in the order of ids,
+    whose pivots fail a check, and the first check it fails."""
+    p1, p2, p3 = sums.T
+    f2 = p2 - 3 * f3
+    f1 = p3 // 2 - f2
+    rem = p1 - f1
+    counts = np.stack([rem // 3, f1, f2, f3], axis=1)
+    odd, indivisible = p3 % 2 != 0, rem % 3 != 0
+    bad = np.flatnonzero(odd | indivisible | (counts < 0).any(axis=1))
+    if bad.size:
+        i, v = int(bad[0]), int(ids[bad[0]])
+        what = ("odd wedge-triangle pivot" if odd[i] else
+                "indivisible endpoint pivot" if indivisible[i] else
+                "negative neighborhood count")
+        raise IntegrityError(f"{what} at center {g.label_of(v)} (id {v})")
+    return counts

@@ -214,6 +214,7 @@ def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,
     hits = np.zeros(m, dtype=np.int64)
     for i, j, k in _triangle_steps(o):
         hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
+        del i, j, k  # not held while the next step is found
     tri = np.empty(m, dtype=np.int64)
     tri[o.order] = hits
     return tri
@@ -242,7 +243,10 @@ def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(out_deg, out=out_ptr[1:])
     view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, out_ptr)
-    n3 = sum(len(k) for _, _, k in _triangle_steps(view))
+    n3 = 0
+    for i, j, k in _triangle_steps(view):
+        n3 += len(k)
+        del i, j, k  # not held while the next step is found
     deg = out_deg + np.bincount(dst, minlength=n)
     n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * n3
     n1 = len(kept) * (n - 2) - 2 * n2 - 3 * n3

@@ -79,8 +79,11 @@ def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTable
     """
     n, m = g.vertex_count, g.edge_count
     o = orient(g)
-    tri = np.concatenate([np.zeros((0, 3), dtype=np.int64)]
-                         + [o.order[np.stack(step, axis=1)] for step in _triangle_steps(o)])
+    tri = [np.zeros((0, 3), dtype=np.int64)]
+    for step in _triangle_steps(o):
+        tri.append(o.order[np.stack(step, axis=1)])
+        del step  # not held while the next step is found
+    tri = np.concatenate(tri)
     deg = g.degrees
     n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * len(tri)
     if max_wedges is not None and n2 > max_wedges:

@@ -10,6 +10,8 @@ import pytest
 from triprof import IntegrityError, ProfileVector
 from triprof.cli import _emit, accuracy_ratio, main
 
+from conftest import chung_lu
+
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 
@@ -131,6 +133,23 @@ class TestHostileInput:
         assert main(["profile", str(path)]) == 2
         assert "line 2: not UTF-8" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [["ego"], ["oracle", "--ego"]])
+    def test_non_utf8_centers_file(self, capsys, k4_file, tmp_path, command):
+        centers = tmp_path / "centers.txt"
+        centers.write_bytes(b"1\n\xff\xfe\n")
+        assert main([command[0], k4_file, *command[1:], "--centers", str(centers)]) == 2
+        assert "--centers line 2: not UTF-8" in self.one_line_error(capsys)
+
+    def test_non_utf8_centers_after_other_line_breaks(self, capsys, k4_file, tmp_path):
+        centers = tmp_path / "centers.txt"
+        centers.write_bytes(b"1\r\n2\r3 caf\xe9\n")
+        assert main(["ego", k4_file, "--centers", str(centers)]) == 2
+        assert "--centers line 3: not UTF-8" in self.one_line_error(capsys)
+
+    def test_directory_as_centers_file(self, capsys, k4_file, tmp_path):
+        assert main(["ego", k4_file, "--centers", str(tmp_path)]) == 2
+        self.one_line_error(capsys)
+
     def test_directory_as_graph(self, capsys, tmp_path):
         assert main(["profile", str(tmp_path)]) == 2
         self.one_line_error(capsys)
@@ -206,6 +225,54 @@ class TestEgoCommand:
         _, ser = run_cli(capsys, "ego", k4_file, "--all", "--mode", "serial")
         assert par["egos"] == ser["egos"]
 
+    def test_one_orientation_one_enumeration(self, capsys, c5_file, monkeypatch):
+        from triprof import cli, ego, profiles
+
+        orients, steps = [], []
+        real_orient, real_steps = profiles.orient, profiles._triangle_steps
+
+        def counted_orient(g):
+            orients.append(g)
+            return real_orient(g)
+
+        def counted_steps(o):
+            steps.append(o)
+            return real_steps(o)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ego must not scatter per-edge scalars")
+
+        for module in (cli, profiles, ego):
+            monkeypatch.setattr(module, "orient", counted_orient, raising=False)
+            monkeypatch.setattr(module, "edge_triangle_counts", forbidden, raising=False)
+            monkeypatch.setattr(module, "scatter_edge_scalars", forbidden, raising=False)
+        monkeypatch.setattr(ego, "_triangle_steps", counted_steps)
+        code, report = run_cli(capsys, "ego", c5_file, "--all", "--no-timing")
+        assert code == 0
+        assert len(orients) == len(steps) == 1
+        assert [ph["name"] for ph in report["phases"]] == [
+            "ego:scatter-triangles-cliques", "ego:gather-pivots"]
+
+    def test_table_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "labelled.txt"
+        path.write_text("hub a\nhub b\nhub c\nhub d\na b\nb c\nc a\nd caf\u00e9\nx y\n",
+                        encoding="utf-8")
+        egos, local = tmp_path / "ego.tsv", tmp_path / "local.tsv"
+        assert main(["ego", str(path), "--all", "--tsv", str(egos)]) == 0
+        assert main(["profile", str(path), "--local-tsv", str(local)]) == 0
+        assert egos.read_bytes() == (
+            "center\tf0\tf1\tf2\tf3\n"
+            "hub\t0\t3\t0\t1\na\t0\t0\t0\t1\nb\t0\t0\t0\t1\nc\t0\t0\t0\t1\n"
+            "d\t0\t0\t0\t0\ncaf\u00e9\t0\t0\t0\t0\nx\t0\t0\t0\t0\ny\t0\t0\t0\t0\n"
+        ).encode()
+        assert local.read_bytes() == (
+            "vertex\tn0\tn1_e\tn1_d\tn2_e\tn2_c\tn3\n"
+            "hub\t2\t11\t1\t1\t3\t3\n"
+            "a\t4\t11\t2\t1\t0\t3\nb\t4\t11\t2\t1\t0\t3\nc\t4\t11\t2\t1\t0\t3\n"
+            "d\t6\t7\t4\t3\t1\t0\ncaf\u00e9\t8\t5\t7\t1\t0\t0\n"
+            "x\t7\t6\t8\t0\t0\t0\ny\t7\t6\t8\t0\t0\t0\n"
+        ).encode()
+
     def test_needs_exactly_one_selector(self, capsys, k4_file):
         assert main(["ego", k4_file]) == 1
         assert main(["ego", k4_file, "--all", "--random", "2"]) == 1
@@ -279,6 +346,23 @@ class TestDeterminism:
             assert code == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] == reports[2]
+
+    def test_ego_tables_identical_across_modes_and_worker_counts(self, capsys, tmp_path):
+        graph = tmp_path / "skewed.txt"
+        g = chung_lu(150, 900, 1.7, seed=4)
+        g.write_edge_list(graph)
+        tables = []
+        for extra in (["--mode", "serial"], ["--mode", "parallel"],
+                      ["--threads", "1"], ["--threads", "2"]):
+            tsv = tmp_path / "ego.tsv"
+            assert main(["ego", str(graph), "--all", "--no-timing", "--tsv", str(tsv),
+                         *extra]) == 0
+            tables.append(tsv.read_bytes())
+        capsys.readouterr()
+        assert len(tables[0].splitlines()) == 1 + int((g.degrees > 0).sum())
+        assert tables[0] == tables[1]
+        assert tables[2] == tables[3]
+        assert tables[1] == tables[2]
 
     def test_ego_reports_identical_across_worker_counts(self, capsys, k4_file):
         reports = []

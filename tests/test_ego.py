@@ -1,11 +1,12 @@
 """Ego profiles: serial/parallel equivalence and the pivot arithmetic."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from triprof import UsageError, ego_parallel, ego_serial
+from triprof import IntegrityError, UsageError, ego_parallel, ego_serial, load_edge_list
 from triprof.oracle import brute_force_ego, brute_force_four_cliques
 
 from conftest import complete_graph, er_graph, star_graph
@@ -35,25 +36,80 @@ class TestSmallGraphs:
         out = ego_parallel(k4, [1, 1, 1, 0])
         assert list(out) == [1, 0]
 
+    def test_table_arrays_are_read_only(self, k4):
+        for run in (ego_serial, ego_parallel):
+            out = run(k4, [1, 0])
+            assert out[0].as_tuple() == (0, 0, 0, 1)
+            for arr in (out.centers, out.counts):
+                with pytest.raises(ValueError):
+                    arr[0] = 3
+
     def test_unknown_center_rejected(self, k4):
         with pytest.raises(UsageError):
             ego_parallel(k4, [7])
 
+    @pytest.mark.parametrize("center", [-1, 2 ** 70])
+    def test_center_out_of_range_is_usage_error(self, k4, center):
+        for run in (ego_serial, ego_parallel):
+            with pytest.raises(UsageError, match="center out of range"):
+                run(k4, [0, center])
+
 
 class TestPivotTrace:
     def test_k4_pivot_values(self, k4):
-        from triprof.ego import PivotSums, _solve_pivots
+        from triprof.ego import _solve_pivots
 
         # per incident edge of any K4 vertex: own-side wedges 0, triangles 2
-        prof = _solve_pivots(k4, 0, PivotSums(p1=0, p2=3, p3=0), f3=1)
-        assert prof.as_tuple() == (0, 0, 0, 1)
+        counts = _solve_pivots(k4, np.array([0]), np.array([[0, 3, 0]]), np.array([1]))
+        assert counts.tolist() == [[0, 0, 0, 1]]
 
     def test_star_pivot_values(self):
-        from triprof.ego import PivotSums, _solve_pivots
+        from triprof.ego import _solve_pivots
 
         star = star_graph(3)
-        prof = _solve_pivots(star, 0, PivotSums(p1=3, p2=0, p3=0), f3=0)
-        assert prof.as_tuple() == (1, 0, 0, 0)
+        counts = _solve_pivots(star, np.array([0]), np.array([[3, 0, 0]]), np.array([0]))
+        assert counts.tolist() == [[1, 0, 0, 0]]
+
+
+class TestIntegrityChecks:
+    """Each pivot check names the first failing center in selection order."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0, 0, 1], "odd wedge-triangle pivot"),      # p3 odd
+        ([1, 0, 0], "indivisible endpoint pivot"),   # p1 - f1 not a multiple of 3
+        ([0, 3, 0], "negative neighborhood count"),  # f2 = 3, f1 = -3
+    ])
+    def test_first_failing_center_named(self, bad, message):
+        from triprof.ego import _solve_pivots
+
+        g = load_edge_list(io.StringIO("a b\nb c\nc d\nd e\n"))
+        ids = np.array([4, 3, 2, 0])
+        sums = np.zeros((4, 3), dtype=np.int64)
+        sums[[1, 3]] = bad  # centers d and a fail; d is selected first
+        with pytest.raises(IntegrityError, match=f"^{message} at center d \\(id 3\\)$"):
+            _solve_pivots(g, ids, sums, np.zeros(4, dtype=np.int64))
+
+    def test_earlier_center_wins_over_earlier_check(self):
+        from triprof.ego import _solve_pivots
+
+        g = star_graph(3)
+        sums = np.array([[0, 3, 0], [0, 0, 1]])  # center 2 negative, center 1 odd
+        with pytest.raises(IntegrityError, match=r"^negative neighborhood count at center 2 "):
+            _solve_pivots(g, np.array([2, 1]), sums, np.zeros(2, dtype=np.int64))
+
+    def test_ego_parallel_reports_first_center_with_bad_cliques(self, monkeypatch):
+        from triprof import ego
+
+        g = load_edge_list(io.StringIO("x y\ny z\nz x\nz w\n"))  # triangle x y z, tail z w
+        real = ego._triangles_and_four_cliques
+
+        def too_many(graph):
+            tri, cliques = real(graph)
+            return tri, cliques + np.array([0, 1, 0, 1])  # 4-cliques at y and w
+
+        monkeypatch.setattr(ego, "_triangles_and_four_cliques", too_many)
+        with pytest.raises(IntegrityError, match=r"^negative neighborhood count at center w "):
+            ego_parallel(g, [3, 0, 1])
 
 
 class TestInvariants:
