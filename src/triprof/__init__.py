@@ -11,10 +11,9 @@ at desk scale.
 from .ego import EgoProfile, EgoTable, ego_parallel, ego_serial
 from .engine import Engine, PhaseStats
 from .errors import IntegrityError, ParseError, UsageError
-from .graph import EdgeRef, UndirectedGraph, induced_subgraph, load_edge_list
-from .profiles import (EdgeScalars, LocalProfile, ProfileVector, compute_profile,
-                       count_triangles_only, gather_local_profiles,
-                       global_profile_from_local, scatter_edge_scalars)
+from .graph import UndirectedGraph, induced_subgraph, load_edge_list
+from .profiles import (LocalProfile, ProfileVector, compute_profile, count_triangles_only,
+                       gather_local_profiles, global_profile_from_local, scatter_edge_scalars)
 from .sampling import (SampleParams, expected_sampled_profile, sample_edges,
                        sample_mask, subgraph_from_mask, transition_matrix,
                        unbiased_estimate)
@@ -25,9 +24,9 @@ from .theory import (EdgeExtremes, PolynomialValues, TheoremReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EdgeRef", "UndirectedGraph", "induced_subgraph", "load_edge_list",
+    "UndirectedGraph", "induced_subgraph", "load_edge_list",
     "Engine", "PhaseStats",
-    "ProfileVector", "EdgeScalars", "LocalProfile", "scatter_edge_scalars",
+    "ProfileVector", "LocalProfile", "scatter_edge_scalars",
     "gather_local_profiles", "global_profile_from_local", "compute_profile",
     "count_triangles_only",
     "SampleParams", "sample_edges", "sample_mask", "subgraph_from_mask",

@@ -23,9 +23,8 @@ from . import sampling, theory
 from .engine import Engine
 from .errors import IntegrityError, ParseError, UsageError
 from .graph import UndirectedGraph, load_edge_list
-from .profiles import (ProfileVector, compute_profile, count_triangles_only,
-                       gather_local_profiles, global_profile_from_local, orient,
-                       scatter_edge_scalars)
+from .profiles import (ProfileVector, compute_profile, gather_local_profiles,
+                       global_profile_from_local, orient, scatter_edge_scalars)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,10 +132,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--max-wedges", type=_non_negative, default=50_000_000,
                    help="refuse graphs whose wedge count exceeds this budget")
-
-    p = sub.add_parser("bench", help="full profile vs triangles-only wall time")
-    add_common(p)
-    p.add_argument("--runs", type=int, default=5, help="median over this many runs")
 
     return parser
 
@@ -308,9 +303,9 @@ def _cmd_sparsifier_check(args) -> dict:
     started = time.perf_counter()
     g = _load_graph(args)
     engine = Engine(args.threads)
-    scalars = scatter_edge_scalars(g, engine)
-    profile = global_profile_from_local(gather_local_profiles(g, scalars, engine))
-    extremes = theory.edge_extremes(g, scalars)
+    tri = scatter_edge_scalars(g, engine)
+    profile = global_profile_from_local(gather_local_profiles(g, tri, engine))
+    extremes = theory.edge_extremes(g, tri)
     base = math.e if args.log_base == "e" else 2.0
     result = theory.check_theorem_conditions(
         profile, extremes, g.edge_count, args.p, args.epsilon, args.gamma,
@@ -344,44 +339,12 @@ def _cmd_polys(args) -> dict:
     return _finish(args, engine, report, started)
 
 
-def _cmd_bench(args) -> dict:
-    if args.runs < 1:
-        raise UsageError("--runs must be at least 1")
-    started = time.perf_counter()
-    g = _load_graph(args)
-    # one untimed pair first, so that no timed run pays for cold caches
-    warm = Engine(args.threads)
-    count_triangles_only(g, warm)
-    compute_profile(g, warm)
-    tri_times = []
-    full_times = []
-    for _ in range(args.runs):
-        engine = Engine(args.threads)
-        t0 = time.perf_counter()
-        count_triangles_only(g, engine)
-        tri_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        compute_profile(g, engine)
-        full_times.append(time.perf_counter() - t0)
-    tri_med = statistics.median(tri_times)
-    full_med = statistics.median(full_times)
-    engine = Engine(args.threads)
-    report = {"command": "bench", "graph": _graph_block(args, g),
-              "runs": args.runs,
-              "triangles_only_seconds": tri_med,
-              "full_profile_seconds": full_med,
-              "ratio": full_med / tri_med if tri_med > 0 else None,
-              "workers": engine.workers}
-    return _finish(args, engine, report, started)
-
-
 _COMMANDS = {
     "profile": _cmd_profile,
     "ego": _cmd_ego,
     "oracle": _cmd_oracle,
     "sparsifier-check": _cmd_sparsifier_check,
     "polys": _cmd_polys,
-    "bench": _cmd_bench,
 }
 
 
@@ -398,7 +361,7 @@ def main(argv=None) -> int:
     except (ParseError, IntegrityError) as exc:
         print(f"triprof: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"triprof: {exc}", file=sys.stderr)
         return 2
 

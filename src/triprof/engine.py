@@ -88,10 +88,9 @@ def segment_sums(vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def endpoint_sums(g: UndirectedGraph, u_side: np.ndarray,
-                  w_side: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of directed edge values: u_side lands on the smaller
-    endpoint, w_side on the larger.
+def endpoint_sums(g: UndirectedGraph, values: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of a per-edge array, each edge's value landing on both
+    of its endpoints.
 
     Integer-weight bincount accumulation is exact while every partial sum
     stays below BINCOUNT_EXACT_LIMIT; beyond that, fall back to exact
@@ -99,9 +98,7 @@ def endpoint_sums(g: UndirectedGraph, u_side: np.ndarray,
     """
     n = g.vertex_count
     if n * n <= BINCOUNT_EXACT_LIMIT:
-        out = np.bincount(g.edge_u, weights=u_side, minlength=n)
-        out += np.bincount(g.edge_w, weights=w_side, minlength=n)
+        out = np.bincount(g.edge_u, weights=values, minlength=n)
+        out += np.bincount(g.edge_w, weights=values, minlength=n)
         return out.astype(np.int64)
-    e = g.pos_to_edge
-    is_u = g.position_rows < g.indices
-    return segment_sums(np.where(is_u, u_side[e], w_side[e]), g.indptr)
+    return segment_sums(values[g.pos_to_edge], g.indptr)

@@ -26,14 +26,6 @@ def check_key_packing(n: int) -> None:
             f"{n} vertices exceed the {MAX_PACKABLE_VERTICES} that int64 edge keys can pack")
 
 
-class EdgeRef(NamedTuple):
-    """Canonical edge: endpoints with u < w and a stable ordinal."""
-
-    u: int
-    w: int
-    index: int
-
-
 class UndirectedGraph:
     """Simple undirected graph: symmetric sorted adjacency, no loops, no duplicates.
 
@@ -171,21 +163,6 @@ class UndirectedGraph:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, w)
         return i < len(nb) and nb[i] == w
-
-    def edge_ref(self, index: int) -> EdgeRef:
-        return EdgeRef(int(self._edge_u[index]), int(self._edge_w[index]), int(index))
-
-    def edge_index(self, u: int, w: int) -> int:
-        """Stable ordinal of edge {u, w}; raises UsageError when absent."""
-        check_key_packing(self.vertex_count)
-        if u > w:
-            u, w = w, u
-        key = np.int64(u) * self.vertex_count + w
-        keys = self._edge_u * np.int64(self.vertex_count) + self._edge_w
-        i = int(np.searchsorted(keys, key))
-        if i < len(keys) and keys[i] == key:
-            return i
-        raise UsageError(f"no edge between {u} and {w}")
 
     # -- derived structures (lazy, cached) -----------------------------------
 

@@ -1,11 +1,10 @@
 """Exact per-vertex and global 3-profiles via per-edge scatter and vertex gather.
 
-The scatter computes, for every edge {u, w}: the number of triangles on the
-edge, the wedges centered at each endpoint through the edge, and the vertices
-isolated from both endpoints. The gather turns those scalars into each
-vertex's six-way triple census, and the global profile is one third of the
-vertex sums. All arithmetic is exact integer arithmetic, so results are
-independent of reduction order.
+The scatter computes one scalar per edge {u, w}: the number of triangles on
+it. The gather turns those counts and the degrees into each vertex's six-way
+triple census, and the global profile is one third of the vertex sums. All
+arithmetic is exact integer arithmetic, so results are independent of
+reduction order.
 
 A sampled graph's global profile needs no scatter: masked_profile counts its
 triangles on a masked view of the full graph's orientation and takes the
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Engine, endpoint_sums
+from .engine import Engine, endpoint_sums, segment_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, check_key_packing
 
@@ -57,26 +56,6 @@ class ProfileVector:
             return int(x) if isinstance(x, int) else float(x)
         return {"n0": num(self.n0), "n1": num(self.n1),
                 "n2": num(self.n2), "n3": num(self.n3)}
-
-
-@dataclass(frozen=True)
-class EdgeScalars:
-    """Per-edge scatter results, one array entry per canonical edge.
-
-    tri[e]         triangles containing edge e
-    wedge_at_u[e]  wedges centered at the smaller endpoint through e
-    wedge_at_w[e]  wedges centered at the larger endpoint through e
-    iso[e]         vertices adjacent to neither endpoint
-    """
-
-    tri: np.ndarray
-    wedge_at_u: np.ndarray
-    wedge_at_w: np.ndarray
-    iso: np.ndarray
-
-    def row(self, e: int) -> tuple[int, int, int, int]:
-        return (int(self.tri[e]), int(self.wedge_at_u[e]),
-                int(self.wedge_at_w[e]), int(self.iso[e]))
 
 
 @dataclass(frozen=True)
@@ -257,20 +236,20 @@ def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
 
 
 def scatter_edge_scalars(g: UndirectedGraph, engine: Engine | None = None,
-                         orientation: Orientation | None = None) -> EdgeScalars:
-    """Per-edge scalars: triangle count, both directional wedge counts, isolated count."""
+                         orientation: Orientation | None = None) -> np.ndarray:
+    """The scatter phase: each edge's triangle count, the one per-edge scalar
+    the gather needs besides the degrees.
+
+    Its bytes are accounted as the paper's vertex program scatters them, four
+    8-byte values per edge: the triangles, the wedges centered at each
+    endpoint and the vertices isolated from both.
+    """
     engine = engine or Engine()
     start = time.perf_counter()
     tri = edge_triangle_counts(g, engine, orientation)
-    deg = g.degrees
-    du = deg[g.edge_u]
-    dw = deg[g.edge_w]
-    wedge_at_u = du - tri - 1
-    wedge_at_w = dw - tri - 1
-    iso = g.vertex_count - (du + dw - tri)
     engine.record("scatter:edge-scalars", time.perf_counter() - start,
                   bytes_scattered=g.edge_count * 4 * 8)
-    return EdgeScalars(tri, wedge_at_u, wedge_at_w, iso)
+    return tri
 
 
 def _halved(sums: np.ndarray, what: str, g: UndirectedGraph) -> np.ndarray:
@@ -282,22 +261,24 @@ def _halved(sums: np.ndarray, what: str, g: UndirectedGraph) -> np.ndarray:
     return sums // 2
 
 
-def gather_local_profiles(g: UndirectedGraph, scalars: EdgeScalars,
+def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
                           engine: Engine | None = None) -> LocalProfile:
-    """Accumulate edge scalars at each endpoint into the six local counts.
+    """Turn the per-edge triangle counts ``tri`` and the degrees into the six
+    local counts.
 
-    Two endpoint sums are needed: the triangle counts, halved because each
-    triangle at v is seen from both of its edges at v, and the far-side
-    wedge counts, which give n2_e. The own-side wedge and isolated-vertex
-    sums have closed forms in d = d(v): n2_c = C(d, 2) - n3 (each centered
-    wedge is seen from both of its edges) and n1_e = d*(n - 1 - d) - n2_e.
+    One endpoint sum gives n3, halved because each triangle at v is seen from
+    both of its edges at v. One CSR segment sum gives nd, the sum of v's
+    neighbors' degrees. The rest is closed form in d = d(v): each edge
+    {v, w} has d(w) - 1 - tri wedges with v as an endpoint, so
+    n2_e = nd - d - 2*n3; n2_c = C(d, 2) - n3 (each centered wedge is seen
+    from both of its edges) and n1_e = d*(n - 1 - d) - n2_e.
     """
     engine = engine or Engine()
     start = time.perf_counter()
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
-    n3 = _halved(endpoint_sums(g, scalars.tri, scalars.tri), "triangle", g)
-    n2_e = endpoint_sums(g, scalars.wedge_at_w, scalars.wedge_at_u)
+    n3 = _halved(endpoint_sums(g, tri), "triangle", g)
+    n2_e = segment_sums(deg[g.indices], g.indptr) - deg - 2 * n3
     n2_c = deg * (deg - 1) // 2 - n3
     n1_e = deg * (n - 1 - deg) - n2_e
     n1_d = m - deg - n3 - n2_e
@@ -339,14 +320,14 @@ def compute_profile(g: UndirectedGraph, engine: Engine | None = None,
     """Full pipeline: scatter, gather, aggregate. ``orientation`` is
     ``orient(g)``, built here when not given."""
     engine = engine or Engine()
-    scalars = scatter_edge_scalars(g, engine, orientation)
-    locals_ = gather_local_profiles(g, scalars, engine)
+    tri = scatter_edge_scalars(g, engine, orientation)
+    locals_ = gather_local_profiles(g, tri, engine)
     return global_profile_from_local(locals_), locals_
 
 
 def count_triangles_only(g: UndirectedGraph,
                          engine: Engine | None = None) -> tuple[np.ndarray, int]:
-    """Per-vertex and global triangle counts, skipping all non-triangle scalars.
+    """Per-vertex and global triangle counts, skipping every other local count.
 
     Baseline for the runtime-overhead comparison; its n3 values always match
     the full pipeline's.
@@ -355,7 +336,7 @@ def count_triangles_only(g: UndirectedGraph,
     start = time.perf_counter()
     tri = edge_triangle_counts(g, engine)
     n, m = g.vertex_count, g.edge_count
-    per_vertex = _halved(endpoint_sums(g, tri, tri), "triangle", g)
+    per_vertex = _halved(endpoint_sums(g, tri), "triangle", g)
     total = _exact_sum(tri)
     if total % 3:
         raise IntegrityError(f"edge triangle sum not divisible by 3: {total}")

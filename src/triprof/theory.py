@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import (EdgeScalars, ProfileVector, _exact_sum, _lookup, _sibling_pairs,
-                       _triangle_steps, orient, scatter_edge_scalars)
+from .profiles import (ProfileVector, _exact_sum, _lookup, _sibling_pairs,
+                       _triangle_steps, edge_triangle_counts, orient)
 
 A1 = 8.0
 A2 = 8.0 ** 2 * math.sqrt(2.0)
@@ -34,17 +34,20 @@ class EdgeExtremes:
     delta: int
 
 
-def edge_extremes(g: UndirectedGraph, scalars: EdgeScalars | None = None,
-                  engine=None) -> EdgeExtremes:
-    """Maxima of the per-edge scalars over all edges."""
+def edge_extremes(g: UndirectedGraph, tri: np.ndarray | None = None) -> EdgeExtremes:
+    """Maxima over all edges {u, w} of the vertices adjacent to neither
+    endpoint, n - du - dw + tri; of the wedges through the edge,
+    du + dw - 2 - 2*tri; and of its triangles, tri. ``tri`` holds the
+    per-edge triangle counts, computed here when not given."""
     if g.edge_count == 0:
         raise UsageError("edge extremes are undefined for an empty edge set")
-    if scalars is None:
-        scalars = scatter_edge_scalars(g, engine)
+    if tri is None:
+        tri = edge_triangle_counts(g)
+    du, dw = g.degrees[g.edge_u], g.degrees[g.edge_w]
     return EdgeExtremes(
-        alpha=int(scalars.iso.max()),
-        beta=int((scalars.wedge_at_u + scalars.wedge_at_w).max()),
-        delta=int(scalars.tri.max()),
+        alpha=int((g.vertex_count - du - dw + tri).max()),
+        beta=int((du + dw - 2 - 2 * tri).max()),
+        delta=int(tri.max()),
     )
 
 
@@ -141,34 +144,40 @@ class PolynomialValues:
 
 def evaluate_polynomials(g: UndirectedGraph, mask: np.ndarray,
                          terms: TermTables | None = None) -> PolynomialValues:
-    """Evaluate every polynomial on one sample mask against the original graph."""
+    """Evaluate every polynomial on one sample mask against the original graph.
+
+    Each term is a count of kept/dropped patterns over the wedge or triangle
+    table, taken on boolean arrays with count_nonzero.
+    """
     if len(mask) != g.edge_count:
         raise UsageError(f"mask has {len(mask)} entries for {g.edge_count} edges")
     if terms is None:
         terms = census_terms(g)
-    t = np.asarray(mask, dtype=np.int64)
-    u = 1 - t
+    t = np.asarray(mask, dtype=bool)
 
-    s1 = int(terms.iso_weight @ t) if g.edge_count else 0
-    y0 = terms.n0 + (int(terms.iso_weight @ u) if g.edge_count else 0)
+    def cnt(x: np.ndarray) -> int:
+        return int(np.count_nonzero(x))
+
+    s1 = int(terms.iso_weight[t].sum())
+    y0 = terms.n0 + int(terms.iso_weight[~t].sum())
     y1 = s1
 
     a, b = t[terms.wedge_e1], t[terms.wedge_e2]
-    ua, ub = 1 - a, 1 - b
-    d1 = int(np.sum(a + b))
-    d2 = int(np.sum(a * b))
-    y0 += int(np.sum(ua * ub))
-    y1 += int(np.sum(ua * b + ub * a))
+    d1 = cnt(a) + cnt(b)
+    d2 = cnt(a & b)
+    y0 += cnt(~(a | b))
+    y1 += cnt(a ^ b)
     y2 = d2
 
     ta, tb, tc = t[terms.tri_e1], t[terms.tri_e2], t[terms.tri_e3]
-    va, vb, vc = 1 - ta, 1 - tb, 1 - tc
-    t1 = int(np.sum(ta + tb + tc))
-    t2 = int(np.sum(ta * tb + tb * tc + tc * ta))
-    y3 = int(np.sum(ta * tb * tc))
-    y0 += int(np.sum(va * vb * vc))
-    y1 += int(np.sum(ta * vb * vc + tb * va * vc + tc * va * vb))
-    y2 += int(np.sum(ta * tb * vc + tb * tc * va + ta * tc * vb))
+    ab, bc, ca = ta & tb, tb & tc, tc & ta
+    kept3 = ab & tc
+    t1 = cnt(ta) + cnt(tb) + cnt(tc)
+    t2 = cnt(ab) + cnt(bc) + cnt(ca)
+    y3 = cnt(kept3)
+    y0 += cnt(~(ta | tb | tc))
+    y1 += cnt((ta ^ tb ^ tc) & ~kept3)  # exactly one edge kept
+    y2 += cnt((ab | bc | ca) & ~kept3)  # exactly two edges kept
 
     return PolynomialValues(y0, y1, y2, y3, s1, d1, d2, t1, t2)
 

@@ -38,6 +38,17 @@ def star_graph(leaves: int) -> UndirectedGraph:
     return UndirectedGraph.from_edges([(0, i) for i in range(1, leaves + 1)])
 
 
+def hub_joined_cliques(sizes):
+    """Cliques of the given sizes, every vertex also joined to hub vertex 0."""
+    pairs, start = [], 1
+    for s in sizes:
+        members = range(start, start + s)
+        pairs += [(a, b) for a in members for b in members if a < b]
+        pairs += [(0, a) for a in members]
+        start += s
+    return UndirectedGraph.from_edges(pairs)
+
+
 def er_graph(n: int, density: float, rng: np.random.Generator) -> UndirectedGraph:
     """Erdos-Renyi G(n, density) with the full vertex set kept."""
     iu, ju = np.triu_indices(n, 1)

@@ -155,6 +155,19 @@ class TestHostileInput:
         self.one_line_error(capsys)
 
     @pytest.mark.parametrize("argv", [
+        ["profile", "{p}"],
+        ["profile", "{g}", "--out", "{p}"],
+        ["profile", "{g}", "--local-tsv", "{p}"],
+        ["ego", "{g}", "--all", "--tsv", "{p}"],
+        ["ego", "{g}", "--centers", "{p}"],
+    ], ids=["graph", "out", "local-tsv", "tsv", "centers"])
+    @pytest.mark.parametrize("bad", ["parent-is-a-file", "name-too-long"])
+    def test_unusable_path(self, capsys, k4_file, tmp_path, argv, bad):
+        path = k4_file + "/x" if bad == "parent-is-a-file" else str(tmp_path / ("x" * 5000))
+        assert main([a.format(g=k4_file, p=path) for a in argv]) == 2
+        self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
         ["profile", "{g}", "--p", "nan"],
         ["polys", "{g}", "--p", "inf"],
         ["sparsifier-check", "{g}", "--p", "0.5", "--epsilon", "inf", "--gamma", "1"],
@@ -325,15 +338,6 @@ class TestPolysCommand:
         assert len(report["runs"]) == 4
         for run in report["runs"]:
             assert run["identity_residuals"] == [0, 0]
-
-
-class TestBenchCommand:
-    def test_report_shape(self, capsys, k4_file):
-        code, report = run_cli(capsys, "bench", k4_file, "--runs", "2")
-        assert code == 0
-        assert set(report) >= {"triangles_only_seconds", "full_profile_seconds",
-                               "ratio", "runs"}
-        assert report["runs"] == 2
 
 
 class TestDeterminism:

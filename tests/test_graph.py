@@ -238,8 +238,6 @@ class TestKeyPackingLimit:
     def test_key_users_check_the_limit(self, k4, monkeypatch):
         monkeypatch.setattr(graph, "MAX_PACKABLE_VERTICES", 3)
         with pytest.raises(UsageError, match="int64"):
-            k4.edge_index(0, 1)
-        with pytest.raises(UsageError, match="int64"):
             k4.pos_to_edge
         with pytest.raises(UsageError, match="int64"):
             profiles.edge_triangle_counts(k4)
@@ -257,12 +255,11 @@ class TestStructure:
         for g in (k4, c5, star3):
             assert int(g.degrees.sum()) == 2 * g.edge_count
 
-    def test_edge_refs_canonical(self, k4):
-        for i in range(k4.edge_count):
-            ref = k4.edge_ref(i)
-            assert ref.u < ref.w
-            assert ref.index == i
-            assert k4.edge_index(ref.w, ref.u) == i
+    def test_canonical_edges_sorted(self, k4, c5, star3):
+        for g in (k4, c5, star3):
+            assert np.all(g.edge_u < g.edge_w)
+            assert np.all(np.diff(g.edge_u * g.vertex_count + g.edge_w) > 0)
+            assert np.array_equal(g.edges_at(g.edge_pos_u), np.arange(g.edge_count))
 
     def test_round_trip(self):
         g = load_edge_list(io.StringIO("b a\nc b\na c\nd a\n"))

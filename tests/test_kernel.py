@@ -21,24 +21,13 @@ from triprof import (UndirectedGraph, UsageError, census_terms, compute_profile,
                      ego_parallel, load_edge_list, profiles, subgraph_from_mask)
 from triprof.oracle import brute_force_ego
 
-from conftest import chung_lu, complete_graph, star_graph
+from conftest import chung_lu, complete_graph, hub_joined_cliques, star_graph
 
 
 def brute_edge_triangles(g):
     nbrs = [set(map(int, g.neighbors(v))) for v in range(g.vertex_count)]
     return np.array([len(nbrs[int(u)] & nbrs[int(w)]) for u, w in zip(g.edge_u, g.edge_w)],
                     dtype=np.int64)
-
-
-def hub_joined_cliques(sizes):
-    """Cliques of the given sizes, every vertex also joined to hub vertex 0."""
-    pairs, start = [], 1
-    for s in sizes:
-        members = range(start, start + s)
-        pairs += [(a, b) for a in members for b in members if a < b]
-        pairs += [(0, a) for a in members]
-        start += s
-    return UndirectedGraph.from_edges(pairs)
 
 
 CASES = {

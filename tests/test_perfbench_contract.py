@@ -1,0 +1,36 @@
+"""The names the traced benchmark run wraps still exist in triprof.
+
+``perfbench/tracing.py`` wraps triprof functions by module and name, and the
+graph's ``from_edges`` and ``pos_to_edge`` on the class. A rename or deletion
+of any of them would break ``perfbench/run.py --trace 1`` without failing any
+other test. Only the module's ``WRAPPED`` table is read here: ``install``
+rebinds functions for the rest of the interpreter and is not called.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from triprof import UndirectedGraph
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def wrapped_names():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.WRAPPED
+
+
+@pytest.mark.parametrize("module, name", wrapped_names())
+def test_wrapped_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"triprof.{module}"), name))
+
+
+def test_graph_hooks_exist():
+    assert isinstance(UndirectedGraph.__dict__["from_edges"], classmethod)
+    assert isinstance(UndirectedGraph.__dict__["pos_to_edge"], property)
+    assert callable(UndirectedGraph.sparse_adjacency)

@@ -4,62 +4,66 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triprof import (Engine, IntegrityError, UndirectedGraph, compute_profile,
                      count_triangles_only, gather_local_profiles,
                      global_profile_from_local, scatter_edge_scalars)
 from triprof.oracle import brute_force_local, brute_force_profile
 
-from conftest import er_graph, star_graph
+from conftest import er_graph, hub_joined_cliques, star_graph
 
 
 def brute_edge_census(g, e):
     """Independent per-edge census: (triangles, wedges at u, wedges at w, isolated)."""
-    ref = g.edge_ref(e)
-    nu = set(map(int, g.neighbors(ref.u)))
-    nw = set(map(int, g.neighbors(ref.w)))
+    u, w = int(g.edge_u[e]), int(g.edge_w[e])
+    nu = set(map(int, g.neighbors(u)))
+    nw = set(map(int, g.neighbors(w)))
     tri = len(nu & nw)
-    wedge_u = len(nu - nw - {ref.w})
-    wedge_w = len(nw - nu - {ref.u})
+    wedge_u = len(nu - nw - {w})
+    wedge_w = len(nw - nu - {u})
     iso = g.vertex_count - len(nu | nw)
     return tri, wedge_u, wedge_w, iso
 
 
 class TestScatter:
     def test_k4(self, k4):
-        scalars = scatter_edge_scalars(k4)
+        tri = scatter_edge_scalars(k4)
         for e in range(k4.edge_count):
-            assert scalars.row(e) == (2, 0, 0, 0)
-            assert scalars.row(e) == brute_edge_census(k4, e)
+            assert tri[e] == 2 == brute_edge_census(k4, e)[0]
 
     def test_c5(self, c5):
-        scalars = scatter_edge_scalars(c5)
+        tri = scatter_edge_scalars(c5)
         for e in range(c5.edge_count):
-            assert scalars.row(e) == (0, 1, 1, 1)
-            assert scalars.row(e) == brute_edge_census(c5, e)
+            assert tri[e] == 0 == brute_edge_census(c5, e)[0]
 
     def test_star(self):
         star = star_graph(3)
-        scalars = scatter_edge_scalars(star)
+        tri = scatter_edge_scalars(star)
         for e in range(star.edge_count):
-            # canonical u is the center (vertex 0)
-            assert scalars.row(e) == (0, 2, 0, 0)
-            assert scalars.row(e) == brute_edge_census(star, e)
+            assert tri[e] == 0 == brute_edge_census(star, e)[0]
 
     def test_random_graphs_match_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = er_graph(int(rng.integers(5, 40)), float(rng.choice([0.1, 0.4, 0.7])), rng)
-            scalars = scatter_edge_scalars(g)
+            tri = scatter_edge_scalars(g)
+            assert tri.dtype == np.int64
             for e in range(g.edge_count):
-                assert scalars.row(e) == brute_edge_census(g, e)
+                assert tri[e] == brute_edge_census(g, e)[0]
 
     def test_wedge_degree_relation(self):
+        # the closed forms the gather and edge_extremes rely on: every other
+        # per-edge count follows from the edge's triangles and endpoint degrees
         rng = np.random.default_rng(8)
         g = er_graph(30, 0.3, rng)
-        scalars = scatter_edge_scalars(g)
-        assert np.all(scalars.tri + scalars.wedge_at_u + 1 == g.degrees[g.edge_u])
-        assert np.all(scalars.tri + scalars.wedge_at_w + 1 == g.degrees[g.edge_w])
+        tri = scatter_edge_scalars(g)
+        du, dw = g.degrees[g.edge_u], g.degrees[g.edge_w]
+        for e in range(g.edge_count):
+            assert brute_edge_census(g, e) == (
+                tri[e], du[e] - 1 - tri[e], dw[e] - 1 - tri[e],
+                g.vertex_count - du[e] - dw[e] + tri[e])
 
 
 class TestGather:
@@ -81,12 +85,10 @@ class TestGather:
             assert locals_.row(v) == (0, 0, 0, 0, 0, 3)
 
     def test_corrupted_scalars_raise_integrity_error(self, c5):
-        scalars = scatter_edge_scalars(c5)
-        tri = scalars.tri.copy()
+        tri = scatter_edge_scalars(c5).copy()
         tri[0] += 1  # odd triangle sum at both endpoints of edge 0
-        bad = type(scalars)(tri, scalars.wedge_at_u, scalars.wedge_at_w, scalars.iso)
         with pytest.raises(IntegrityError, match="triangle"):
-            gather_local_profiles(c5, bad)
+            gather_local_profiles(c5, tri)
 
     def test_isolated_vertex_counts(self):
         g = UndirectedGraph.from_edges([(0, 1)], vertex_count=4)
@@ -131,6 +133,25 @@ class TestGlobal:
         prof, locals_ = compute_profile(g)
         assert int(locals_.n3.sum()) == 3 * prof.n3
         assert int(locals_.n2_c.sum()) == prof.n2  # one center per wedge
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["star", "hub-cliques", "random"]),
+           size=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+           pad=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_locals_match_oracle_on_hubs_and_padding(self, shape, size, pad, seed):
+        if shape == "star":
+            g = star_graph(sum(size))
+        elif shape == "hub-cliques":
+            g = hub_joined_cliques(size)
+        else:
+            g = er_graph(sum(size) + 1, 0.4, np.random.default_rng(seed))
+        g = UndirectedGraph.from_edges(np.stack([g.edge_u, g.edge_w], axis=1),
+                                       vertex_count=g.vertex_count + pad)
+        prof, locals_ = compute_profile(g)
+        bf = brute_force_local(g)
+        for field in ("n0", "n1_e", "n1_d", "n2_e", "n2_c", "n3"):
+            assert np.array_equal(getattr(locals_, field), getattr(bf, field)), field
+        assert prof == brute_force_profile(g)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(11)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (SampleParams, UsageError, check_theorem_conditions,
+from triprof import (SampleParams, UndirectedGraph, UsageError, check_theorem_conditions,
                      census_terms, compute_profile, edge_extremes,
                      evaluate_polynomials, sample_mask, subgraph_from_mask, theory)
+from triprof.profiles import edge_triangle_counts
 from triprof.theory import EdgeExtremes
 
-from conftest import er_graph, star_graph
+from conftest import er_graph, hub_joined_cliques, star_graph
 
 
 class TestEdgeExtremes:
@@ -26,24 +27,27 @@ class TestEdgeExtremes:
         assert edge_extremes(star_graph(3)) == EdgeExtremes(alpha=0, beta=2, delta=0)
 
     def test_empty_edge_set_rejected(self):
-        from triprof import UndirectedGraph
-
         with pytest.raises(UsageError):
             edge_extremes(UndirectedGraph.from_edges([], vertex_count=4))
 
     def test_matches_per_edge_brute_force(self):
         rng = np.random.default_rng(41)
-        g = er_graph(40, 0.3, rng)
-        alpha = beta = delta = 0
-        for e in range(g.edge_count):
-            ref = g.edge_ref(e)
-            nu = set(map(int, g.neighbors(ref.u)))
-            nw = set(map(int, g.neighbors(ref.w)))
-            tri = len(nu & nw)
-            wedges = len(nu - nw - {ref.w}) + len(nw - nu - {ref.u})
-            iso = g.vertex_count - len(nu | nw)
-            alpha, beta, delta = max(alpha, iso), max(beta, wedges), max(delta, tri)
-        assert edge_extremes(g) == EdgeExtremes(alpha, beta, delta)
+        hubs = hub_joined_cliques([2, 3, 5])
+        padded = UndirectedGraph.from_edges(np.stack([hubs.edge_u, hubs.edge_w], axis=1),
+                                            vertex_count=hubs.vertex_count + 4)
+        for g in (er_graph(40, 0.3, rng), padded):
+            alpha = beta = delta = 0
+            for e in range(g.edge_count):
+                u, w = int(g.edge_u[e]), int(g.edge_w[e])
+                nu = set(map(int, g.neighbors(u)))
+                nw = set(map(int, g.neighbors(w)))
+                tri = len(nu & nw)
+                wedges = len(nu - nw - {w}) + len(nw - nu - {u})
+                iso = g.vertex_count - len(nu | nw)
+                alpha, beta, delta = max(alpha, iso), max(beta, wedges), max(delta, tri)
+            expected = EdgeExtremes(alpha, beta, delta)
+            assert edge_extremes(g) == expected
+            assert edge_extremes(g, edge_triangle_counts(g)) == expected
 
 
 class TestTheoremConditions:
