@@ -32,26 +32,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _parsed(kind, name: str):
+    """argparse type: ``kind(text)``, a usage error naming ``name`` if that fails."""
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {name}, got {text!r}") from None
+    return convert
 
 
-def _non_negative(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _checked(base, rule: str, ok):
+    """argparse type: ``base``, then a usage error "must be <rule>" unless
+    ``ok`` holds for the value."""
+    def convert(text: str):
+        value = base(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return convert
+
+
+_finite = _checked(_parsed(float, "a number"), "finite", math.isfinite)
+_positive = _checked(_finite, "above 0", lambda v: v > 0)
+_probability = _checked(_finite, "in (0, 1]", lambda v: 0 < v <= 1)
+_non_negative = _checked(_parsed(int, "an integer"), "non-negative", lambda v: v >= 0)
+_at_least_one = _checked(_non_negative, "at least 1", lambda v: v >= 1)
+_seed = _checked(_non_negative, "below 2**64", lambda v: v < 2 ** 64)
 
 
 def accuracy_ratio(exact: ProfileVector, estimate: ProfileVector):
@@ -87,9 +94,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("profile", help="global and per-vertex 3-profile, exact or sampled")
     add_common(p)
-    p.add_argument("--p", type=_finite, default=1.0, help="edge sampling probability")
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--runs", type=int, default=1,
+    p.add_argument("--p", type=_probability, default=1.0, help="edge sampling probability")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--runs", type=_at_least_one, default=1,
                    help="sampled repetitions with seeds seed, seed+1, ...")
     p.add_argument("--compare-exact", action="store_true",
                    help="also run exactly and report accuracy ratios")
@@ -99,7 +106,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ego", help="ego 3-profiles for a set of centers")
     add_common(p)
     p.add_argument("--centers", default=None, help="file with one center label per line")
-    p.add_argument("--random", type=int, default=None, metavar="K",
+    p.add_argument("--random", type=_non_negative, default=None, metavar="K",
                    help="pick K random centers")
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--all", action="store_true", help="every vertex is a center")
@@ -110,7 +117,7 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--ego", action="store_true", help="ego table instead of the global profile")
     p.add_argument("--centers", default=None)
-    p.add_argument("--random", type=int, default=None, metavar="K")
+    p.add_argument("--random", type=_non_negative, default=None, metavar="K")
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--all", action="store_true")
     p.add_argument("--tsv", default=None)
@@ -119,17 +126,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sparsifier-check", help="evaluate the sampling feasibility conditions")
     add_common(p)
-    p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--epsilon", type=_finite, required=True)
-    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--p", type=_probability, required=True)
+    p.add_argument("--epsilon", type=_positive, required=True)
+    p.add_argument("--gamma", type=_positive, required=True)
     p.add_argument("--log-base", choices=("e", "2"), default="e")
     p.add_argument("--form", choices=("final", "prefinal"), default="final")
 
     p = sub.add_parser("polys", help="evaluate the indicator polynomials on sampled masks")
     add_common(p)
-    p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--p", type=_probability, required=True)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--runs", type=_at_least_one, default=1)
     p.add_argument("--max-wedges", type=_non_negative, default=50_000_000,
                    help="refuse graphs whose wedge count exceeds this budget")
 
@@ -169,8 +176,6 @@ def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
     if args.all:
         return np.arange(g.vertex_count, dtype=np.int64)
     if args.random is not None:
-        if args.random < 0:
-            raise UsageError("--random must be non-negative")
         rng = np.random.default_rng(args.seed)
         k = min(args.random, g.vertex_count)
         return np.sort(rng.choice(g.vertex_count, size=k, replace=False)).astype(np.int64)
@@ -203,10 +208,6 @@ def _write_tsv(path: str, header: str, labels: list[str], columns) -> None:
 
 
 def _cmd_profile(args) -> dict:
-    if args.runs < 1:
-        raise UsageError("--runs must be at least 1")
-    if not 0 < args.p <= 1:
-        raise UsageError(f"sampling probability must be in (0, 1], got {args.p}")
     started = time.perf_counter()
     g = _load_graph(args)
     engine = Engine(args.threads)
@@ -320,8 +321,6 @@ def _cmd_sparsifier_check(args) -> dict:
 
 
 def _cmd_polys(args) -> dict:
-    if args.runs < 1:
-        raise UsageError("--runs must be at least 1")
     started = time.perf_counter()
     g = _load_graph(args)
     engine = Engine(args.threads)

@@ -162,7 +162,7 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     deg = g.degrees[ids]
     bounds = np.concatenate([[0], np.cumsum(deg)])
     pos = np.repeat(g.indptr[ids] - bounds[:-1], deg) + np.arange(bounds[-1])
-    t = tri[g.edges_at(pos)]
+    t = tri[g.edge_ids(np.repeat(ids, deg), g.indices[pos])]
     del pos, tri
     own = np.repeat(deg, deg) - 1 - t
     sums = segment_sums(np.stack([own * (own - 1) // 2, t * (t - 1) // 2, own * t], axis=1),

@@ -1,6 +1,9 @@
 """Phase accounting shared by every pipeline stage, plus exact per-vertex sums
 of per-edge values.
 
+``endpoint_sums`` accumulates in float64 bincounts over the canonical edges
+and checks on its result that every sum stayed exact.
+
 Every computation is serial and vectorized. The worker count (``--threads``,
 ``TRIPROF_THREADS``) is validated and recorded with each phase, and splits no
 work. Communication volume is accounted arithmetically (records times record
@@ -15,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
 
 ENV_THREADS = "TRIPROF_THREADS"
 
-# float64 holds every integer up to 2**53 exactly, so endpoint_sums may
-# accumulate with a weighted bincount while n*n stays within it.
+# float64 holds every integer up to 2**53 exactly, so endpoint_sums'
+# weighted bincounts are exact while every sum stays below it.
 BINCOUNT_EXACT_LIMIT = 2 ** 53
 
 
@@ -89,16 +92,22 @@ def segment_sums(vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def endpoint_sums(g: UndirectedGraph, values: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of a per-edge array, each edge's value landing on both
-    of its endpoints.
+    """Per-vertex int64 sums of a non-negative per-edge array, each edge's
+    value landing on both of its endpoints.
 
-    Integer-weight bincount accumulation is exact while every partial sum
-    stays below BINCOUNT_EXACT_LIMIT; beyond that, fall back to exact
-    position-segment reduction.
+    Two weighted bincounts accumulate in float64. No partial sum of
+    non-negative addends exceeds its final sum, so a largest sum below
+    BINCOUNT_EXACT_LIMIT proves every sum exact; IntegrityError is raised
+    when it is not, and on a negative value.
     """
+    if values.size and values.min() < 0:
+        e = int(np.argmax(values < 0))
+        raise IntegrityError(f"negative value {values[e]} on edge {e} in an endpoint sum")
     n = g.vertex_count
-    if n * n <= BINCOUNT_EXACT_LIMIT:
-        out = np.bincount(g.edge_u, weights=values, minlength=n)
-        out += np.bincount(g.edge_w, weights=values, minlength=n)
-        return out.astype(np.int64)
-    return segment_sums(values[g.pos_to_edge], g.indptr)
+    out = np.bincount(g.edge_u, weights=values, minlength=n)
+    out += np.bincount(g.edge_w, weights=values, minlength=n)
+    if out.size and out.max() >= BINCOUNT_EXACT_LIMIT:
+        v = int(np.argmax(out))
+        raise IntegrityError(f"endpoint sum at vertex {g.label_of(v)} (id {v}) reaches "
+                             f"{BINCOUNT_EXACT_LIMIT}, beyond exact float64 accumulation")
+    return out.astype(np.int64)

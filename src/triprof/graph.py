@@ -4,6 +4,10 @@ Vertices are dense integers in [0, vertex_count). Graphs loaded from edge-list
 text keep the original labels so per-vertex output can be written back in the
 source vocabulary. Each edge also has a canonical orientation (u < w) and a
 stable index in [0, edge_count), which every per-edge phase keys on.
+
+A graph stores only its CSR and its canonical edges. ``edge_ids`` maps vertex
+pairs to edge ordinals by a binary search in the sorted canonical keys, and
+``pos_to_edge``, the ordinal of every CSR position, is built on first use.
 """
 
 from __future__ import annotations
@@ -38,21 +42,17 @@ class UndirectedGraph:
         self._indptr = indptr
         self._indices = indices
         self._labels = labels
-        n = len(indptr) - 1
         self._degrees = np.diff(indptr)
         # Canonical edge list: CSR positions with col > row, which are already
         # ordered lexicographically by (row, col).
-        rows = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
+        rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), self._degrees)
         upper = indices > rows
         self._edge_u = rows[upper]
         self._edge_w = indices[upper]
-        self._position_rows = rows
-        self._edge_pos_u = np.flatnonzero(upper)
         self._pos_to_edge = None
         self._csr = None
         for arr in (self._indptr, self._indices, self._degrees,
-                    self._edge_u, self._edge_w, self._position_rows,
-                    self._edge_pos_u):
+                    self._edge_u, self._edge_w):
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
@@ -167,41 +167,28 @@ class UndirectedGraph:
     # -- derived structures (lazy, cached) -----------------------------------
 
     @property
-    def position_rows(self) -> np.ndarray:
-        """Row (vertex) owning each CSR position."""
-        return self._position_rows
-
-    @property
-    def edge_pos_u(self) -> np.ndarray:
-        """CSR position of each edge as seen from its smaller endpoint."""
-        return self._edge_pos_u
-
-    @property
     def pos_to_edge(self) -> np.ndarray:
-        """Edge ordinal for every CSR position (both directions of each edge)."""
+        """Edge ordinal for every CSR position (both directions of each edge);
+        the positions with col > row are the canonical edges in order."""
         if self._pos_to_edge is None:
-            check_key_packing(self.vertex_count)
-            n = np.int64(self.vertex_count)
+            rows = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self._degrees)
+            lower = self._indices < rows
             out = np.empty(len(self._indices), dtype=np.int64)
-            out[self._edge_pos_u] = np.arange(self.edge_count, dtype=np.int64)
-            lower = np.flatnonzero(self._indices < self._position_rows)
-            keys = self._edge_u * n + self._edge_w
-            lower_keys = self._indices[lower] * n + self._position_rows[lower]
-            out[lower] = np.searchsorted(keys, lower_keys)
+            out[~lower] = np.arange(self.edge_count, dtype=np.int64)
+            out[lower] = self.edge_ids(rows[lower], self._indices[lower])
             out.setflags(write=False)
             self._pos_to_edge = out
         return self._pos_to_edge
 
-    def edges_at(self, positions: np.ndarray) -> np.ndarray:
-        """Edge ordinal of each given CSR position, without building pos_to_edge.
+    def edge_ids(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Ordinal of each edge {u[i], w[i]}, its endpoints in either order.
 
-        Each position's canonical key min*n + max is looked up in the sorted
-        canonical edge keys.
+        Each pair's canonical key min*n + max is looked up in the sorted
+        canonical edge keys; every pair must be an edge of the graph.
         """
         check_key_packing(self.vertex_count)
         n = np.int64(self.vertex_count)
-        rows, cols = self._position_rows[positions], self._indices[positions]
-        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        keys = np.minimum(u, w) * n + np.maximum(u, w)
         return np.searchsorted(self._edge_u * n + self._edge_w, keys)
 
     def sparse_adjacency(self):

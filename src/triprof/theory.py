@@ -95,7 +95,8 @@ def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTable
 
     keys = g.edge_u * np.int64(n) + g.edge_w  # canonical edges are sorted by (u, w)
     wedge_e1, wedge_e2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for p, q in _sibling_pairs(g.indptr, g.position_rows):
+    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+    for p, q in _sibling_pairs(g.indptr, owner):
         _, closed = _lookup(keys, g.indices[p] * np.int64(n) + g.indices[q])
         wedge_e1.append(g.pos_to_edge[p[~closed]])
         wedge_e2.append(g.pos_to_edge[q[~closed]])

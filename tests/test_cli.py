@@ -188,6 +188,39 @@ class TestHostileInput:
         assert main([a.format(g=c5_file) for a in argv]) == 1
         assert "must be non-negative" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["profile", "polys"])
+    @pytest.mark.parametrize("seed", [str(2 ** 64), str(2 ** 64 + 1)])
+    def test_seed_beyond_64_bits(self, capsys, c5_file, command, seed):
+        assert main([command, c5_file, "--p", "0.5", "--seed", seed]) == 1
+        assert "must be below 2**64" in self.one_line_error(capsys)
+
+    def test_largest_seed_accepted(self, capsys, c5_file):
+        code, report = run_cli(capsys, "profile", c5_file, "--p", "0.5",
+                               "--seed", str(2 ** 64 - 1), "--runs", "2")
+        assert code == 0
+        assert [run["seed"] for run in report["runs"]] == [2 ** 64 - 1, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--p", "0"],
+        ["profile", "--p", "1.5"],
+        ["profile", "--p", "0.5", "--runs", "0"],
+        ["sparsifier-check", "--p", "0", "--epsilon", "0.1", "--gamma", "1"],
+        ["sparsifier-check", "--p", "0.5", "--epsilon", "-1", "--gamma", "1"],
+        ["sparsifier-check", "--p", "0.5", "--epsilon", "0.1", "--gamma", "0"],
+        ["polys", "--p", "2"],
+        ["polys", "--p", "0.5", "--runs", "0"],
+        ["ego", "--random", "-3"],
+        ["oracle", "--ego", "--random", "-3"],
+    ])
+    def test_bad_parameter_refused_before_graph_is_read(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.txt")
+        assert main([argv[0], missing, *argv[1:]]) == 1
+        self.one_line_error(capsys)
+
+    def test_bad_p_reported_before_wedge_budget(self, capsys, c5_file):
+        assert main(["polys", c5_file, "--p", "2", "--max-wedges", "0"]) == 1
+        assert "--p: must be in (0, 1]" in self.one_line_error(capsys)
+
     @pytest.mark.parametrize("param", [
         ["--epsilon", "1e-200", "--gamma", "1"],
         ["--epsilon", "0.1", "--gamma", "1e300"],

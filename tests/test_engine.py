@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from triprof import Engine, UsageError, compute_profile, ego_parallel, engine
+from triprof import (Engine, IntegrityError, UsageError, compute_profile, ego_parallel,
+                     engine)
 from triprof.engine import endpoint_sums, segment_sums
 from triprof.profiles import edge_triangle_counts
 
@@ -34,20 +35,30 @@ def test_star_reduce():
 @pytest.mark.parametrize("build", [
     lambda: complete_graph(4), lambda: star_graph(7), lambda: chung_lu(200, 900, 1.8, seed=2),
 ], ids=["k4", "star", "chung-lu"])
-def test_bincount_and_segment_routes_agree(build, monkeypatch):
+def test_bincount_and_segment_routes_agree(build):
     g = build()
     rng = np.random.default_rng(5)
     values = rng.integers(0, 1 << 20, g.edge_count)
-    segments = []
-    monkeypatch.setattr(engine, "segment_sums",
-                        lambda *args: segments.append(1) or segment_sums(*args))
-    by_bincount = endpoint_sums(g, values)
-    assert not segments
-    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", 0)
-    by_segments = endpoint_sums(g, values)
-    assert segments
-    assert by_bincount.dtype == by_segments.dtype == np.int64
-    assert np.array_equal(by_bincount, by_segments)
+    sums = endpoint_sums(g, values)
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums, segment_sums(values[g.pos_to_edge], g.indptr))
+
+
+def test_endpoint_sums_reject_negative_values(c5):
+    values = np.ones(c5.edge_count, dtype=np.int64)
+    values[3] = -2
+    with pytest.raises(IntegrityError, match="negative value -2 on edge 3"):
+        endpoint_sums(c5, values)
+
+
+def test_endpoint_sums_check_exactness_limit(c5, monkeypatch):
+    values = np.arange(c5.edge_count, dtype=np.int64)
+    top = int(endpoint_sums(c5, values).max())
+    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", top + 1)
+    assert endpoint_sums(c5, values).max() == top
+    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", top)
+    with pytest.raises(IntegrityError, match=f"reaches {top},"):
+        endpoint_sums(c5, values)
 
 
 def test_reduce_vector_records(c5):

@@ -259,7 +259,9 @@ class TestStructure:
         for g in (k4, c5, star3):
             assert np.all(g.edge_u < g.edge_w)
             assert np.all(np.diff(g.edge_u * g.vertex_count + g.edge_w) > 0)
-            assert np.array_equal(g.edges_at(g.edge_pos_u), np.arange(g.edge_count))
+            ordinals = np.arange(g.edge_count)
+            assert np.array_equal(g.edge_ids(g.edge_u, g.edge_w), ordinals)
+            assert np.array_equal(g.edge_ids(g.edge_w, g.edge_u), ordinals)
 
     def test_round_trip(self):
         g = load_edge_list(io.StringIO("b a\nc b\na c\nd a\n"))
@@ -272,10 +274,11 @@ class TestStructure:
         counts = np.bincount(c5.pos_to_edge, minlength=c5.edge_count)
         assert np.all(counts == 2)
 
-    def test_edges_at_matches_pos_to_edge(self, k4, c5, star3):
-        for g in (k4, c5, star3):
-            pos = np.arange(len(g.indices))[::-1]
-            assert np.array_equal(g.edges_at(pos), g.pos_to_edge[pos])
+    def test_stores_only_csr_and_canonical_edges(self):
+        g = UndirectedGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], vertex_count=6)
+        arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        n, m = g.vertex_count, g.edge_count
+        assert sum(a.nbytes for a in arrays) == 8 * (2 * n + 1 + 4 * m)
 
 
 class TestInducedSubgraph:
@@ -303,6 +306,27 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, [0, 2])
         assert sorted(sub.label_of(v) for v in range(2)) == ["a", "c"]
         assert sub.edge_count == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60),
+       st.integers(0, 5))
+def test_edge_ids_and_pos_to_edge_match_canonical_pairs(pairs, isolated):
+    n = 1 + max((max(pair) for pair in pairs), default=0) + isolated
+    g = UndirectedGraph.from_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                                   vertex_count=n)
+    canonical = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    ordinal = {pair: i for i, pair in enumerate(canonical)}
+    expect = np.array([ordinal[min(a, b), max(a, b)] for a, b in pairs if a != b],
+                      dtype=np.int64)
+    u, w = (np.array([pair[i] for pair in pairs if pair[0] != pair[1]], dtype=np.int64)
+            for i in (0, 1))
+    assert np.array_equal(g.edge_ids(u, w), expect)
+    assert np.array_equal(g.edge_ids(w, u), expect)
+    rows = np.repeat(np.arange(n), g.degrees)
+    ends = np.sort(np.stack([rows, g.indices], axis=1), axis=1)
+    assert np.array_equal(g.edge_u[g.pos_to_edge], ends[:, 0])
+    assert np.array_equal(g.edge_w[g.pos_to_edge], ends[:, 1])
 
 
 @settings(max_examples=60, deadline=None)

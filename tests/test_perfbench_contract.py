@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` wraps triprof functions by module and name, and the
 graph's ``from_edges`` and ``pos_to_edge`` on the class. A rename or deletion
 of any of them would break ``perfbench/run.py --trace 1`` without failing any
-other test. Only the module's ``WRAPPED`` table is read here: ``install``
-rebinds functions for the rest of the interpreter and is not called.
+other test, and so would a change to the ``_pos_to_edge`` cache slot that the
+traced ``pos_to_edge`` reads. Only the module's ``WRAPPED`` table is read
+here: ``install`` rebinds functions for the rest of the interpreter and is not
+called.
 """
 
 import importlib
@@ -34,3 +36,10 @@ def test_graph_hooks_exist():
     assert isinstance(UndirectedGraph.__dict__["from_edges"], classmethod)
     assert isinstance(UndirectedGraph.__dict__["pos_to_edge"], property)
     assert callable(UndirectedGraph.sparse_adjacency)
+
+
+def test_pos_to_edge_cache_slot(k4):
+    """The traced ``pos_to_edge`` reads the private cache slot ``_pos_to_edge``."""
+    assert k4._pos_to_edge is None
+    table = k4.pos_to_edge
+    assert k4._pos_to_edge is table
