@@ -137,8 +137,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--runs", type=_at_least_one, default=1)
-    p.add_argument("--max-wedges", type=_non_negative, default=50_000_000,
-                   help="refuse graphs whose wedge count exceeds this budget")
 
     return parser
 
@@ -324,7 +322,7 @@ def _cmd_polys(args) -> dict:
     started = time.perf_counter()
     g = _load_graph(args)
     engine = Engine(args.threads)
-    terms = theory.census_terms(g, max_wedges=args.max_wedges)
+    terms = theory.census_terms(g)
     runs = []
     for i in range(args.runs):
         params = sampling.SampleParams(args.p, (args.seed + i) % 2 ** 64)

@@ -7,7 +7,9 @@ stable index in [0, edge_count), which every per-edge phase keys on.
 
 A graph stores only its CSR and its canonical edges. ``edge_ids`` maps vertex
 pairs to edge ordinals by a binary search in the sorted canonical keys, and
-``pos_to_edge``, the ordinal of every CSR position, is built on first use.
+``pos_to_edge``, the ordinal of every CSR position, is built on first use. No
+triprof computation reads ``pos_to_edge``; ``perfbench/tracing.py`` wraps it
+and tests use it as a reference.
 """
 
 from __future__ import annotations
@@ -169,7 +171,12 @@ class UndirectedGraph:
     @property
     def pos_to_edge(self) -> np.ndarray:
         """Edge ordinal for every CSR position (both directions of each edge);
-        the positions with col > row are the canonical edges in order."""
+        the positions with col > row are the canonical edges in order.
+
+        No triprof computation reads it. ``perfbench/tracing.py`` wraps this
+        property and its ``_pos_to_edge`` cache slot, and tests use it as a
+        reference.
+        """
         if self._pos_to_edge is None:
             rows = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self._degrees)
             lower = self._indices < rows

@@ -1,11 +1,12 @@
 """Executable sparsifier analysis: per-edge extremes, feasibility conditions, and
 the indicator polynomials whose concentration drives the sampling guarantee.
 
-The polynomial evaluator works from tables of the original graph's lone-edge
-weights, open wedges and triangles, enumerated once in vectorized steps. The
-wedge table grows with the sum of C(d, 2), so callers can cap the wedge count;
-the cap is checked before any wedge is enumerated. Everything here is pure
-integer or float arithmetic over an immutable graph plus a sample mask.
+The polynomial evaluator works from the original graph's per-edge lone-edge
+and open-wedge weights, which follow from the per-edge triangle counts and the
+degrees, and from its triangle table, enumerated once. No wedge is enumerated:
+the wedge terms of a mask follow from the weights of its kept edges and from
+its kept degrees. Everything here is pure integer or float arithmetic over an
+immutable graph plus a sample mask.
 """
 
 from __future__ import annotations
@@ -17,12 +18,24 @@ import numpy as np
 
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import (ProfileVector, _exact_sum, _lookup, _sibling_pairs,
-                       _triangle_steps, edge_triangle_counts, orient)
+from .profiles import (ProfileVector, _exact_sum, _triangle_steps,
+                       edge_triangle_counts, orient)
 
 A1 = 8.0
 A2 = 8.0 ** 2 * math.sqrt(2.0)
 A3 = 8.0 ** 3 * math.sqrt(6.0)
+
+
+def _edge_weights(g: UndirectedGraph, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge {u, w} with tri triangles: the vertices adjacent to neither
+    endpoint, n - du - dw + tri, and the open wedges with the edge as an arm,
+    du + dw - 2 - 2*tri."""
+    du, dw = g.degrees[g.edge_u], g.degrees[g.edge_w]
+    alpha = g.vertex_count - du - dw + tri
+    beta = du + dw - 2 - 2 * tri
+    if (alpha < 0).any() or (beta < 0).any():
+        raise IntegrityError("negative lone-edge or open-wedge weight on an edge")
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -35,50 +48,44 @@ class EdgeExtremes:
 
 
 def edge_extremes(g: UndirectedGraph, tri: np.ndarray | None = None) -> EdgeExtremes:
-    """Maxima over all edges {u, w} of the vertices adjacent to neither
-    endpoint, n - du - dw + tri; of the wedges through the edge,
-    du + dw - 2 - 2*tri; and of its triangles, tri. ``tri`` holds the
-    per-edge triangle counts, computed here when not given."""
+    """Maxima over all edges of the two ``_edge_weights`` and of the triangle
+    count. ``tri`` holds the per-edge triangle counts, computed here when not
+    given."""
     if g.edge_count == 0:
         raise UsageError("edge extremes are undefined for an empty edge set")
     if tri is None:
         tri = edge_triangle_counts(g)
-    du, dw = g.degrees[g.edge_u], g.degrees[g.edge_w]
-    return EdgeExtremes(
-        alpha=int((g.vertex_count - du - dw + tri).max()),
-        beta=int((du + dw - 2 - 2 * tri).max()),
-        delta=int(tri.max()),
-    )
+    alpha, beta = _edge_weights(g, tri)
+    return EdgeExtremes(alpha=int(alpha.max()), beta=int(beta.max()), delta=int(tri.max()))
 
 
 @dataclass(frozen=True)
 class TermTables:
-    """Edge-id tables for every lone-edge triple, wedge, and triangle of a graph."""
+    """Per-edge weights and the triangle table of a graph, for reuse across masks."""
 
     n0: int
-    iso_weight: np.ndarray   # per edge: lone-edge triples whose edge it is
-    wedge_e1: np.ndarray
-    wedge_e2: np.ndarray
+    n2: int                   # open wedges
+    iso_weight: np.ndarray    # per edge: lone-edge triples whose edge it is
+    wedge_weight: np.ndarray  # per edge: open wedges with the edge as an arm
     tri_e1: np.ndarray
     tri_e2: np.ndarray
     tri_e3: np.ndarray
 
     @property
     def wedge_count(self) -> int:
-        return len(self.wedge_e1)
+        return self.n2
 
     @property
     def triangle_count(self) -> int:
         return len(self.tri_e1)
 
 
-def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTables:
-    """Enumerate the indicator-term structure of a graph once, for reuse across masks.
+def census_terms(g: UndirectedGraph) -> TermTables:
+    """Collect the indicator-term structure of a graph once, for reuse across masks.
 
-    Triangles come from the shared oriented enumeration. Open wedges are the
-    pairs of a center's neighbors with no edge between them; the open-wedge
-    count, the sum of C(d, 2) less three per triangle, is checked against
-    ``max_wedges`` before any wedge is enumerated.
+    Triangles come from the shared oriented enumeration, as edge-id triples;
+    the per-edge weights follow from their per-edge counts and the degrees.
+    Each open wedge has two arms, so n2 is half the sum of the wedge weights.
     """
     n, m = g.vertex_count, g.edge_count
     o = orient(g)
@@ -87,31 +94,13 @@ def census_terms(g: UndirectedGraph, max_wedges: int | None = None) -> TermTable
         tri.append(o.order[np.stack(step, axis=1)])
         del step  # not held while the next step is found
     tri = np.concatenate(tri)
-    deg = g.degrees
-    n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * len(tri)
-    if max_wedges is not None and n2 > max_wedges:
-        raise UsageError(
-            f"{n2} open wedges exceed the configured budget of {max_wedges}")
-
-    keys = g.edge_u * np.int64(n) + g.edge_w  # canonical edges are sorted by (u, w)
-    wedge_e1, wedge_e2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    for p, q in _sibling_pairs(g.indptr, owner):
-        _, closed = _lookup(keys, g.indices[p] * np.int64(n) + g.indices[q])
-        wedge_e1.append(g.pos_to_edge[p[~closed]])
-        wedge_e2.append(g.pos_to_edge[q[~closed]])
-    wedge_e1, wedge_e2 = np.concatenate(wedge_e1), np.concatenate(wedge_e2)
-    if len(wedge_e1) != n2:
-        raise IntegrityError(f"{len(wedge_e1)} open wedges enumerated, {n2} expected")
-
-    tri_per_edge = np.bincount(tri.ravel(), minlength=m)
-    iso_weight = (n - (deg[g.edge_u] + deg[g.edge_w] - tri_per_edge)).astype(np.int64)
-    n1 = _exact_sum(iso_weight)
+    iso_weight, wedge_weight = _edge_weights(g, np.bincount(tri.ravel(), minlength=m))
+    n1, n2 = _exact_sum(iso_weight), _exact_sum(wedge_weight) // 2
     return TermTables(
         n0=math.comb(n, 3) - n1 - n2 - len(tri),
+        n2=n2,
         iso_weight=iso_weight,
-        wedge_e1=wedge_e1,
-        wedge_e2=wedge_e2,
+        wedge_weight=wedge_weight,
         tri_e1=tri[:, 0],
         tri_e2=tri[:, 1],
         tri_e3=tri[:, 2],
@@ -147,8 +136,13 @@ def evaluate_polynomials(g: UndirectedGraph, mask: np.ndarray,
                          terms: TermTables | None = None) -> PolynomialValues:
     """Evaluate every polynomial on one sample mask against the original graph.
 
-    Each term is a count of kept/dropped patterns over the wedge or triangle
-    table, taken on boolean arrays with count_nonzero.
+    Triangle terms count kept/dropped patterns over the triangle table, on
+    boolean arrays with count_nonzero. No wedge is enumerated. D1 is the sum of
+    the kept edges' wedge weights. Every pair of kept edges that share a vertex,
+    sum C(d', 2) over the kept degrees d', is either an open wedge with both
+    arms kept or two kept sides of a triangle, which T2 counts, so
+    D2 = sum C(d', 2) - T2. Of the n2 open wedges, D1 - 2*D2 keep exactly one
+    arm and n2 - D1 + D2 keep none.
     """
     if len(mask) != g.edge_count:
         raise UsageError(f"mask has {len(mask)} entries for {g.edge_count} edges")
@@ -159,26 +153,24 @@ def evaluate_polynomials(g: UndirectedGraph, mask: np.ndarray,
     def cnt(x: np.ndarray) -> int:
         return int(np.count_nonzero(x))
 
-    s1 = int(terms.iso_weight[t].sum())
-    y0 = terms.n0 + int(terms.iso_weight[~t].sum())
-    y1 = s1
-
-    a, b = t[terms.wedge_e1], t[terms.wedge_e2]
-    d1 = cnt(a) + cnt(b)
-    d2 = cnt(a & b)
-    y0 += cnt(~(a | b))
-    y1 += cnt(a ^ b)
-    y2 = d2
-
     ta, tb, tc = t[terms.tri_e1], t[terms.tri_e2], t[terms.tri_e3]
     ab, bc, ca = ta & tb, tb & tc, tc & ta
     kept3 = ab & tc
     t1 = cnt(ta) + cnt(tb) + cnt(tc)
     t2 = cnt(ab) + cnt(bc) + cnt(ca)
     y3 = cnt(kept3)
-    y0 += cnt(~(ta | tb | tc))
-    y1 += cnt((ta ^ tb ^ tc) & ~kept3)  # exactly one edge kept
-    y2 += cnt((ab | bc | ca) & ~kept3)  # exactly two edges kept
+
+    n = g.vertex_count
+    kept_deg = (np.bincount(g.edge_u[t], minlength=n)
+                + np.bincount(g.edge_w[t], minlength=n))
+    s1 = int(terms.iso_weight[t].sum())
+    d1 = _exact_sum(terms.wedge_weight[t])
+    d2 = _exact_sum(kept_deg * (kept_deg - 1) // 2) - t2
+
+    y0 = (terms.n0 + int(terms.iso_weight[~t].sum()) + terms.n2 - d1 + d2
+          + cnt(~(ta | tb | tc)))
+    y1 = s1 + d1 - 2 * d2 + cnt((ta ^ tb ^ tc) & ~kept3)  # exactly one edge kept
+    y2 = d2 + cnt((ab | bc | ca) & ~kept3)  # exactly two edges kept
 
     return PolynomialValues(y0, y1, y2, y3, s1, d1, d2, t1, t2)
 

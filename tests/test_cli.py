@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from triprof import IntegrityError, ProfileVector
+from triprof import (IntegrityError, ProfileVector, SampleParams, compute_profile,
+                     load_edge_list, sample_mask, subgraph_from_mask)
 from triprof.cli import _emit, accuracy_ratio, main
 
 from conftest import chung_lu
@@ -181,7 +182,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         ["profile", "{g}", "--p", "0.5", "--seed", "-1"],
         ["ego", "{g}", "--random", "2", "--seed", "-1"],
-        ["polys", "{g}", "--p", "0.5", "--max-wedges", "-1"],
+        ["polys", "{g}", "--p", "0.5", "--seed", "-1"],
         ["profile", "{g}", "--vertex-count", "-1"],
     ])
     def test_negative_count(self, capsys, c5_file, argv):
@@ -216,10 +217,6 @@ class TestHostileInput:
         missing = str(tmp_path / "missing.txt")
         assert main([argv[0], missing, *argv[1:]]) == 1
         self.one_line_error(capsys)
-
-    def test_bad_p_reported_before_wedge_budget(self, capsys, c5_file):
-        assert main(["polys", c5_file, "--p", "2", "--max-wedges", "0"]) == 1
-        assert "--p: must be in (0, 1]" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("param", [
         ["--epsilon", "1e-200", "--gamma", "1"],
@@ -371,6 +368,19 @@ class TestPolysCommand:
         assert len(report["runs"]) == 4
         for run in report["runs"]:
             assert run["identity_residuals"] == [0, 0]
+
+    def test_star_beyond_fifty_million_open_wedges(self, capsys, tmp_path):
+        # C(10001, 2) = 50_005_000 open wedges, and not one is enumerated
+        path = tmp_path / "star.txt"
+        path.write_text("".join(f"0 {i}\n" for i in range(1, 10_002)))
+        code, report = run_cli(capsys, "polys", str(path), "--p", "0.5", "--runs", "2")
+        assert code == 0
+        g = load_edge_list(str(path))
+        for run in report["runs"]:
+            mask = sample_mask(g, SampleParams(0.5, run["seed"]))
+            prof, _ = compute_profile(subgraph_from_mask(g, mask))
+            got = run["values"]
+            assert (got["y0"], got["y1"], got["y2"], got["y3"]) == prof.as_tuple()
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 """The shared triangle enumeration and its consumers against brute force:
-per-edge triangle counts, ego profiles and the polynomial term tables, and
-the masked sampled profile against a rebuilt subgraph.
+per-edge triangle counts, ego profiles, the polynomial term tables and the
+polynomial values, and the masked sampled profile against a rebuilt subgraph.
 
 Every case also runs with the step budgets (pairs per step, and triangle
 extensions per step of the 4-clique pass) at 1 and at a small prime, so that
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (UndirectedGraph, UsageError, census_terms, compute_profile, ego,
-                     ego_parallel, load_edge_list, profiles, subgraph_from_mask)
+from triprof import (PolynomialValues, UndirectedGraph, UsageError, census_terms,
+                     compute_profile, ego, ego_parallel, evaluate_polynomials,
+                     load_edge_list, profiles, subgraph_from_mask)
 from triprof.oracle import brute_force_ego
 
 from conftest import chung_lu, complete_graph, hub_joined_cliques, star_graph
@@ -109,14 +110,54 @@ def test_ego_matches_brute_force(name, budget, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_census_terms_match_brute_force(name, budget, monkeypatch):
     set_budget(budget, monkeypatch)
-    terms = census_terms(CASES[name])
+    g = CASES[name]
+    terms = census_terms(g)
     tris, wedges, iso, n0 = brute_terms(name)
     got_tris = np.sort(np.stack([terms.tri_e1, terms.tri_e2, terms.tri_e3], axis=1), axis=1)
-    got_wedges = np.sort(np.stack([terms.wedge_e1, terms.wedge_e2], axis=1), axis=1)
     assert sorted(map(tuple, got_tris.tolist())) == tris
-    assert sorted(map(tuple, got_wedges.tolist())) == wedges
+    arms = np.array(wedges, dtype=np.int64).reshape(-1, 2)
+    assert terms.wedge_weight.tolist() == np.bincount(
+        arms.ravel(), minlength=g.edge_count).tolist()
+    assert terms.wedge_count == len(wedges)
     assert terms.iso_weight.tolist() == iso
     assert terms.n0 == n0
+
+
+def brute_polynomials(name, t):
+    """The nine polynomial values on mask ``t``, each lone-edge triple, open
+    wedge and triangle of ``brute_terms`` classified by its kept edges."""
+    tris, wedges, iso, n0 = brute_terms(name)
+    y = [n0, 0, 0, 0]
+    s1 = d1 = d2 = t1 = t2 = 0
+    for e, weight in enumerate(iso):
+        y[int(t[e])] += weight
+        s1 += weight * int(t[e])
+    for arms in wedges:
+        k = sum(int(t[e]) for e in arms)
+        y[k] += 1
+        d1 += k
+        d2 += k == 2
+    for sides in tris:
+        k = sum(int(t[e]) for e in sides)
+        y[k] += 1
+        t1 += k
+        t2 += math.comb(k, 2)
+    return PolynomialValues(*y, s1, d1, d2, t1, t2)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.5, 1.0])
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_polynomials_match_brute_force(name, budget, p, monkeypatch):
+    set_budget(budget, monkeypatch)
+    g = CASES[name]
+    terms = census_terms(g)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        mask = rng.random(g.edge_count) < p
+        got = evaluate_polynomials(g, mask, terms)
+        assert got == brute_polynomials(name, mask)
+        assert all(type(x) is int for x in got.as_json().values())
 
 
 def rebuilt_profile(g, mask):

@@ -4,8 +4,9 @@
 graph's ``from_edges`` and ``pos_to_edge`` on the class. A rename or deletion
 of any of them would break ``perfbench/run.py --trace 1`` without failing any
 other test, and so would a change to the ``_pos_to_edge`` cache slot that the
-traced ``pos_to_edge`` reads. Only the module's ``WRAPPED`` table is read
-here: ``install`` rebinds functions for the rest of the interpreter and is not
+traced ``pos_to_edge`` reads, or to the ``census_terms`` counts that its
+counters record. Only the module's ``WRAPPED`` table is read here:
+``install`` rebinds functions for the rest of the interpreter and is not
 called.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from triprof import UndirectedGraph
+from triprof import UndirectedGraph, census_terms
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +44,10 @@ def test_pos_to_edge_cache_slot(k4):
     assert k4._pos_to_edge is None
     table = k4.pos_to_edge
     assert k4._pos_to_edge is table
+
+
+def test_census_counts(k4):
+    """The traced ``census_terms`` records ``wedge_count`` and ``triangle_count``."""
+    terms = census_terms(k4)
+    assert type(terms.wedge_count) is int and terms.wedge_count == 0
+    assert type(terms.triangle_count) is int and terms.triangle_count == 4

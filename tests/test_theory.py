@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (SampleParams, UndirectedGraph, UsageError, check_theorem_conditions,
-                     census_terms, compute_profile, edge_extremes,
-                     evaluate_polynomials, sample_mask, subgraph_from_mask, theory)
+from triprof import (IntegrityError, SampleParams, UndirectedGraph, UsageError,
+                     check_theorem_conditions, census_terms, compute_profile,
+                     edge_extremes, evaluate_polynomials, sample_mask, subgraph_from_mask)
 from triprof.profiles import edge_triangle_counts
 from triprof.theory import EdgeExtremes
 
@@ -29,6 +29,13 @@ class TestEdgeExtremes:
     def test_empty_edge_set_rejected(self):
         with pytest.raises(UsageError):
             edge_extremes(UndirectedGraph.from_edges([], vertex_count=4))
+
+    @pytest.mark.parametrize("tri", [0, 5])
+    def test_negative_weight_rejected(self, k4, tri):
+        # K4 edges have 2 triangles: 0 gives n - du - dw + tri = -2, 5 gives
+        # du + dw - 2 - 2*tri = -6
+        with pytest.raises(IntegrityError, match="negative"):
+            edge_extremes(k4, np.full(k4.edge_count, tri, dtype=np.int64))
 
     def test_matches_per_edge_brute_force(self):
         rng = np.random.default_rng(41)
@@ -141,20 +148,6 @@ class TestPolynomials:
     def test_mask_length_mismatch_rejected(self, c5):
         with pytest.raises(UsageError):
             evaluate_polynomials(c5, np.ones(3, dtype=bool))
-
-    def test_wedge_budget_enforced(self, c5):
-        with pytest.raises(UsageError):
-            census_terms(c5, max_wedges=2)
-
-    def test_wedge_budget_boundary(self, c5, monkeypatch):
-        assert census_terms(c5, max_wedges=5).wedge_count == 5
-
-        def no_enumeration(*args):
-            raise AssertionError("wedges enumerated before the budget check")
-
-        monkeypatch.setattr(theory, "_sibling_pairs", no_enumeration)
-        with pytest.raises(UsageError, match="5 open wedges"):
-            census_terms(c5, max_wedges=4)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(4, 24), st.floats(0.1, 0.9))
