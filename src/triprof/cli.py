@@ -190,10 +190,7 @@ def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
 
 
 def _labels_of(g: UndirectedGraph, ids: np.ndarray) -> list[str]:
-    labels = g.labels
-    if labels is None:
-        return list(map(str, ids.tolist()))
-    return [labels[v] for v in ids.tolist()]
+    return list(map(g.label_of, ids.tolist()))
 
 
 def _write_tsv(path: str, header: str, labels: list[str], columns) -> None:
@@ -360,6 +357,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"triprof: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        print(f"triprof: out of memory{': ' if detail else ''}{detail}", file=sys.stderr)
         return 2
 
 

@@ -3,11 +3,12 @@
 Two routes produce identical results. The serial route materializes each
 neighborhood subgraph and runs the profile pipeline on it. The parallel route
 never builds the subgraphs. One oriented triangle enumeration gives each
-edge's triangle count and each vertex's 4-clique count. Three pivot sums per
-center follow from the triangle counts on the center's edges and the center's
-degree; the 4-clique count supplies the one entry the pivots cannot separate,
-and the remaining entries follow by exact arithmetic, for all centers at once
-on arrays.
+edge's triangle count and each center's 4-clique count; triangles are extended
+into 4-cliques only as far as a center can read the result, so the extension
+work follows the centers. Three pivot sums per center follow from the triangle
+counts on the center's edges and the center's degree; the 4-clique count
+supplies the one entry the pivots cannot separate, and the remaining entries
+follow by exact arithmetic, for all centers at once on arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .engine import Engine, segment_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, induced_subgraph
-from .profiles import _lookup, _ragged_steps, _triangle_steps, compute_profile, orient
+from .profiles import (Orientation, _lookup, _ragged_steps, _triangle_steps,
+                       compute_profile, orient)
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -99,46 +101,79 @@ def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> Ego
     return EgoTable(ids, counts)
 
 
-def _triangles_and_four_cliques(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles on each edge (by edge id) and 4-cliques at each vertex, from
-    one orientation and one triangle enumeration.
+def _triangles_and_four_cliques(g: UndirectedGraph,
+                                centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles on each edge (by edge id) and the 4-cliques at each of the
+    ``centers`` (vertex ids), from one orientation and one triangle
+    enumeration.
 
     Each step's triangles are counted on their three edges, as in
-    edge_triangle_counts, and then each triangle a < b < c (in rank order) is
-    extended by every d in c's out-list whose edges a -> d and b -> d exist
-    (Chiba & Nishizeki), so each 4-clique is found once, from its three
-    lowest-ranked vertices. At most EXTENSION_BUDGET extensions are checked
-    per step. Every step's arrays are released before the next is asked for.
+    edge_triangle_counts. A triangle a < b < c (in rank order) is extended by
+    each d in an out-list of c whose edges a -> d and b -> d exist (Chiba &
+    Nishizeki), so each 4-clique is found once, from its three lowest-ranked
+    vertices. Only cliques with a center need counting:
+
+    - a triangle with a center among a, b, c is extended over c's full
+      out-list, and each clique found counts at a, b, c and d;
+    - any other triangle is extended only over the centers in c's out-list,
+      and each clique found counts at d, the one center it has.
+
+    With every vertex a center, the restricted out-lists are never walked.
     """
     n, m = g.vertex_count, g.edge_count
     o = orient(g)
+    is_center = np.zeros(n, dtype=bool)
+    is_center[o.rank[centers]] = True
+    # the out-lists restricted to center heads: kept positions of the sorted
+    # keys stay sorted, so only the pointers are rebuilt
+    to_center = is_center[o.dst]
+    heads = o.dst[to_center]
+    center_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(o.src[to_center], minlength=n), out=center_ptr[1:])
+    del to_center
     hits = np.zeros(m, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     for i, j, k in _triangle_steps(o):
         hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
         a, b, c = o.src[i], o.dst[i], o.dst[j]
         del i, j, k
-        for t, offset in _ragged_steps(o.out_ptr[c + 1] - o.out_ptr[c], EXTENSION_BUDGET):
-            d = o.dst[o.out_ptr[c[t]] + offset]
-            del offset
-            # b -> d first: the step's triangles are sorted by b -> c, so these
-            # queries sweep the keys forward
-            found = _lookup(o.keys, b[t] * np.int64(n) + d)[1]
-            t, d = t[found], d[found]
-            found = _lookup(o.keys, a[t] * np.int64(n) + d)[1]
-            t, d = t[found], d[found]
+        touched = is_center[a] | is_center[b] | is_center[c]
+        for t, d in _extensions(o, a, b, c, touched, o.out_ptr, o.dst):
             count += np.bincount(np.concatenate([a[t], b[t], c[t], d]), minlength=n)
-            del t, d, found
-        del a, b, c
+        np.logical_not(touched, out=touched)
+        for _, d in _extensions(o, a, b, c, touched, center_ptr, heads):
+            count += np.bincount(d, minlength=n)
+        del a, b, c, touched
     tri = np.empty(m, dtype=np.int64)
     tri[o.order] = hits
-    return tri, count[o.rank]
+    return tri, count[o.rank[centers]]
+
+
+def _extensions(o: Orientation, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                use: np.ndarray, ptr: np.ndarray, heads: np.ndarray):
+    """Yield (t, d) arrays: each triangle t = (a[t], b[t], c[t]) with use[t]
+    and each d in its out-list heads[ptr[c[t]]:ptr[c[t] + 1]] that closes a
+    4-clique with it, at most EXTENSION_BUDGET candidates checked per step.
+
+    The other triangles get empty out-lists rather than being copied out, so
+    a step holds no second set of triangle arrays.
+    """
+    n = np.int64(o.n)
+    for t, offset in _ragged_steps(np.where(use, ptr[c + 1] - ptr[c], 0), EXTENSION_BUDGET):
+        d = heads[ptr[c[t]] + offset]
+        del offset
+        # b -> d first: the triangles are sorted by b -> c, so these queries
+        # sweep the keys forward
+        found = _lookup(o.keys, b[t] * n + d)[1]
+        t, d = t[found], d[found]
+        found = _lookup(o.keys, a[t] * n + d)[1]
+        yield t[found], d[found]
 
 
 def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
     """All centers in two array phases; identical results to ego_serial.
 
-    The scatter phase counts each edge's triangles and each vertex's
+    The scatter phase counts each edge's triangles and each center's
     4-cliques in one pass. A center's f3 (triangles among its neighbors) is
     its 4-clique count. The gather phase sums three pivots over each center's
     edges, where an edge with t triangles has own = d(center) - 1 - t wedges
@@ -154,7 +189,7 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     ids = _dedup_centers(g, centers)
 
     start = time.perf_counter()
-    tri, cliques = _triangles_and_four_cliques(g)
+    tri, f3 = _triangles_and_four_cliques(g, ids)
     engine.record("ego:scatter-triangles-cliques", time.perf_counter() - start,
                   bytes_scattered=8 * g.edge_count + 8 * g.vertex_count)
 
@@ -165,9 +200,12 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     t = tri[g.edge_ids(np.repeat(ids, deg), g.indices[pos])]
     del pos, tri
     own = np.repeat(deg, deg) - 1 - t
-    sums = segment_sums(np.stack([own * (own - 1) // 2, t * (t - 1) // 2, own * t], axis=1),
-                        bounds)
-    counts = _solve_pivots(g, ids, sums, cliques[ids])
+    # one pivot term at a time: a (k, 3) stack of all three would triple the
+    # gather's largest temporary
+    sums = np.stack([segment_sums(own * (own - 1) // 2, bounds),
+                     segment_sums(t * (t - 1) // 2, bounds),
+                     segment_sums(own * t, bounds)], axis=1)
+    counts = _solve_pivots(g, ids, sums, f3)
     engine.record("ego:gather-pivots", time.perf_counter() - start,
                   bytes_gathered=8 * 3 * int(bounds[-1]) + 8 * len(ids))
     return EgoTable(ids, counts)

@@ -2,8 +2,10 @@
 
 Vertices are dense integers in [0, vertex_count). Graphs loaded from edge-list
 text keep the original labels so per-vertex output can be written back in the
-source vocabulary. Each edge also has a canonical orientation (u < w) and a
-stable index in [0, edge_count), which every per-edge phase keys on.
+source vocabulary; a vertex with no stored label, such as one added by
+``vertex_count``, is labeled by its decimal id. Each edge also has a canonical
+orientation (u < w) and a stable index in [0, edge_count), which every
+per-edge phase keys on.
 
 A graph stores only its CSR and its canonical edges. ``edge_ids`` maps vertex
 pairs to edge ordinals by a binary search in the sorted canonical keys, and
@@ -44,6 +46,7 @@ class UndirectedGraph:
         self._indptr = indptr
         self._indices = indices
         self._labels = labels
+        self._label_index: dict[str, int] | None = None
         self._degrees = np.diff(indptr)
         # Canonical edge list: CSR positions with col > row, which are already
         # ordered lexicographically by (row, col).
@@ -64,6 +67,9 @@ class UndirectedGraph:
                    labels: list[str] | None = None) -> "UndirectedGraph":
         """Build from (u, w) integer pairs; drops self-loops and duplicate/reversed edges.
 
+        ``labels`` name the first len(labels) vertices; every later vertex is
+        labeled by its decimal id when asked for.
+
         Edges are deduplicated by sorting their packed keys lo*n + hi, and the
         CSR is laid out by sorting the packed keys of both directions, row*n + col.
         """
@@ -80,8 +86,8 @@ class UndirectedGraph:
                     f"vertex_count {vertex_count} is below the largest id seen ({seen - 1})")
             n = int(vertex_count)
         check_key_packing(n)
-        if labels is not None and len(labels) != n:
-            raise UsageError("labels length must equal vertex_count")
+        if labels is not None and len(labels) > n:
+            raise UsageError("more labels than vertices")
 
         width = np.int64(max(n, 1))
         lo = np.minimum(a[:, 0], a[:, 1])
@@ -135,27 +141,28 @@ class UndirectedGraph:
 
     @property
     def labels(self) -> list[str] | None:
+        """The stored labels of the first len(labels) vertices, or None."""
         return self._labels
 
     def label_of(self, v: int) -> str:
-        return self._labels[v] if self._labels is not None else str(v)
+        labels = self._labels
+        return labels[v] if labels is not None and v < len(labels) else str(v)
 
     def id_of_label(self, label: str) -> int:
-        """Dense id for a source label; labels default to decimal ids."""
-        if self._labels is None:
-            try:
-                v = int(label)
-            except ValueError:
-                raise UsageError(f"unknown vertex label {label!r}") from None
-            if not 0 <= v < self.vertex_count:
-                raise UsageError(f"unknown vertex label {label!r}")
+        """Dense id for a source label: a stored label first, else the
+        decimal id of a vertex with no stored label."""
+        if self._label_index is None:
+            self._label_index = {lab: i for i, lab in enumerate(self._labels or ())}
+        v = self._label_index.get(label)
+        if v is not None:
             return v
-        if not hasattr(self, "_label_index"):
-            self._label_index = {lab: i for i, lab in enumerate(self._labels)}
         try:
-            return self._label_index[label]
-        except KeyError:
-            raise UsageError(f"unknown vertex label {label!r}") from None
+            v = int(label)
+        except ValueError:
+            v = -1
+        if str(v) != label or not len(self._labels or ()) <= v < self.vertex_count:
+            raise UsageError(f"unknown vertex label {label!r}")
+        return v
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view)."""
@@ -299,7 +306,8 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     line must hold exactly two labels. Labels map to dense ids in
     first-appearance order. Self-loops are dropped; duplicate and reversed
     duplicate edges are merged. ``vertex_count`` may exceed the number of
-    labels seen, adding unlabeled isolated vertices.
+    labels seen, adding isolated vertices that are labeled by their decimal
+    ids when asked for; no label is stored for them.
 
     ``source`` is a path to a UTF-8 file, a text handle, or an iterable of
     str or bytes lines. Tokens are separated by every character for which
@@ -314,7 +322,6 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
             f"--vertex-count {vertex_count} is below the {seen} labels in the input")
     n = seen if vertex_count is None else int(vertex_count)
     check_key_packing(n)
-    labels.extend(map(str, range(seen, n)))
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -129,52 +130,90 @@ def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _ragged_steps(lengths: np.ndarray, budget: int):
-    """Yield (item, offset) arrays that cover 0 <= offset < lengths[item] for
-    every item in order, at most ``budget`` entries per step.
+    """Iterate over (item, offset) arrays that cover 0 <= offset < lengths[item]
+    for every item in order, at most ``budget`` entries per step.
 
     A step may begin or end inside one item's range, so the temporaries stay
-    bounded however long a single range is.
+    bounded however long a single range is. Only the prefix sums of the
+    lengths are kept, and no step is held once it is handed out.
     """
-    if lengths.size == 0:
-        return
-    first = np.cumsum(lengths) - lengths
-    total = int(first[-1] + lengths[-1])
-    for lo in range(0, total, budget):
-        hi = min(lo + budget, total)
-        p0 = int(np.searchsorted(first, lo, side="right")) - 1
-        p1 = int(np.searchsorted(first, hi, side="left"))
-        span = (np.minimum(first[p0:p1] + lengths[p0:p1], hi)
-                - np.maximum(first[p0:p1], lo))
-        item = np.repeat(np.arange(p0, p1), span)
-        yield item, np.arange(lo, hi) - first[item]
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    total = int(bounds[-1])
+    return (_ragged_step(bounds, lo, min(lo + budget, total)) for lo in range(0, total, budget))
+
+
+def _ragged_step(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(item, offset) of the entries lo <= e < hi, item i holding the entries
+    bounds[i] <= e < bounds[i + 1]."""
+    p0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+    p1 = int(np.searchsorted(bounds, hi, side="left"))
+    span = np.minimum(bounds[p0 + 1:p1 + 1], hi) - np.maximum(bounds[p0:p1], lo)
+    item = np.repeat(np.arange(p0, p1), span)
+    return item, np.arange(lo, hi) - bounds[item]
 
 
 def _sibling_pairs(ptr: np.ndarray, owner: np.ndarray):
-    """Yield (p, q) position arrays for every p < q that share a segment
-    ptr[r]:ptr[r + 1], where owner[p] is p's segment, PAIR_BUDGET pairs a step."""
+    """Iterate over (p, q) position arrays for every p < q that share a
+    segment ptr[r]:ptr[r + 1], where owner[p] is p's segment, PAIR_BUDGET
+    pairs a step."""
     later = ptr[owner + 1] - np.arange(1, len(owner) + 1)
-    for p, q in _ragged_steps(later, PAIR_BUDGET):
-        q += p  # offsets become positions in place: a step holds two arrays, not three
-        q += 1
-        yield p, q
+    return map(_pair_positions, _ragged_steps(later, PAIR_BUDGET))
+
+
+def _pair_positions(step: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    p, q = step
+    q += p  # offsets become positions in place: a step holds two arrays, not three
+    q += 1
+    return p, q
+
+
+def _packed_order(query: np.ndarray, qbits: int) -> np.ndarray:
+    """A permutation that sorts ``query`` (values below 2**qbits), from one
+    value sort of the packed int64 values (query << ibits) | index, where
+    ibits is the bit length of the query count.
+
+    When qbits + ibits exceed 63, each query is shifted right first, so the
+    order is by the query's high bits and then by index. The callers look up
+    each query itself, so only their sweep's locality depends on the order.
+    """
+    ibits = len(query).bit_length()
+    packed = query >> max(qbits + ibits - 63, 0)
+    packed <<= ibits
+    packed |= np.arange(len(query))
+    packed.sort()
+    packed &= (1 << ibits) - 1
+    return packed
 
 
 def _triangle_steps(o: Orientation):
-    """Yield the sorted positions (i, j, k) of the edges a->b, a->c and b->c of
-    every triangle with ranks a < b < c, one array triple per step.
+    """Iterate over the sorted positions (i, j, k) of the edges a->b, a->c and
+    b->c of every triangle with ranks a < b < c, one array triple per step.
 
     This is compact-forward enumeration: a triangle is found exactly once, as
     the sibling pair (b, c) in a's out-list closed by the edge b -> c. Each
     step's closing-edge queries are sorted first, so that the binary searches
     sweep the keys forward instead of probing them at random.
+
+    The steps are mapped rather than generated: a generator's frame would
+    hold the step's sibling pairs while the consumer works on its triangles.
     """
-    for i, j in _sibling_pairs(o.out_ptr, o.src):
-        query = o.dst[i] * np.int64(o.n) + o.dst[j]
-        s = np.argsort(query)
-        k, found = _lookup(o.keys, query[s])
-        s, k = s[found], k[found]
-        del query, found  # not held while the consumer works on the step
-        yield i[s], j[s], k
+    qbits = (o.n * o.n - 1).bit_length()  # of the largest key, n**2 - 1
+    return map(partial(_closing_edges, o, qbits), _sibling_pairs(o.out_ptr, o.src))
+
+
+def _closing_edges(o: Orientation, qbits: int,
+                   pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The (i, j, k) triangles among one step's sibling pairs (i, j), ordered
+    by their closing-edge keys (by the keys' high bits when _packed_order
+    coarsens them)."""
+    i, j = pairs
+    query = o.dst[i] * np.int64(o.n) + o.dst[j]
+    s = _packed_order(query, qbits)
+    k, found = _lookup(o.keys, query[s])
+    del query
+    s = s[found]
+    return i[s], j[s], k[found]
 
 
 def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,

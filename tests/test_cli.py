@@ -151,6 +151,21 @@ class TestHostileInput:
         assert main(["ego", k4_file, "--centers", str(tmp_path)]) == 2
         self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 7.45 GiB for an array with shape (1000000001,) and data type int64",
+        "two\nlines", ""])
+    def test_out_of_memory_is_data_error(self, capsys, k4_file, monkeypatch, message):
+        from triprof import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "load_edge_list", exhausted)
+        assert main(["profile", k4_file]) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith("triprof: out of memory")
+        assert " ".join(message.split()) in err
+
     def test_directory_as_graph(self, capsys, tmp_path):
         assert main(["profile", str(tmp_path)]) == 2
         self.one_line_error(capsys)
@@ -257,6 +272,17 @@ class TestEgoCommand:
         code, report = run_cli(capsys, "ego", k4_file, "--centers", str(centers))
         assert code == 0
         assert [row[0] for row in report["egos"]] == ["1", "3"]
+
+    @pytest.mark.parametrize("padding", [[], ["--vertex-count", "10"]])
+    def test_file_label_wins_over_padding_vertex_id(self, capsys, tmp_path, padding):
+        # vertex "7" is joined to the triangle a b c; padding vertex 7 is isolated
+        path = tmp_path / "g.txt"
+        path.write_text("a b\nb c\nc a\n7 a\n7 b\n7 c\n")
+        centers = tmp_path / "centers.txt"
+        centers.write_text("7\n")
+        code, report = run_cli(capsys, "ego", str(path), "--centers", str(centers), *padding)
+        assert code == 0
+        assert report["egos"] == [["7", 0, 0, 0, 1]]
 
     def test_random_centers_deterministic(self, capsys, c5_file):
         _, r1 = run_cli(capsys, "ego", c5_file, "--random", "3", "--seed", "5")

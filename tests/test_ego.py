@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from triprof import IntegrityError, UsageError, ego_parallel, ego_serial, load_edge_list
+from triprof import (IntegrityError, UndirectedGraph, UsageError, ego_parallel, ego_serial,
+                     load_edge_list, profiles)
 from triprof.oracle import brute_force_ego, brute_force_four_cliques
 
 from conftest import complete_graph, er_graph, star_graph
+
+K4_TAIL = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
 
 
 class TestSmallGraphs:
@@ -27,6 +30,20 @@ class TestSmallGraphs:
             out = run(star, [0, 1])
             assert out[0].as_tuple() == (1, 0, 0, 0)
             assert out[1].as_tuple() == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("center, expected", [(3, (0, 3, 0, 1)), (0, (0, 0, 0, 1))],
+                             ids=["top-ranked", "lowest-ranked"])
+    def test_k4_with_tail_one_center(self, center, expected):
+        # K4 on 0..3 plus the tail 3-4: 3 (degree 4) is the clique's
+        # highest-ranked vertex. With 3 the only center, the clique is found
+        # from the triangle 0 1 2, which has no center, through the out-list of
+        # 2 restricted to center heads; with 0, from a center triangle.
+        g = UndirectedGraph.from_edges(K4_TAIL)
+        assert profiles.orient(g).rank.tolist() == [1, 2, 3, 4, 0]
+        for run in (ego_serial, ego_parallel):
+            got = run(g, [center])[center]
+            assert got == brute_force_ego(g, center)
+            assert got.as_tuple() == expected
 
     def test_k5_center(self):
         k5 = complete_graph(5)
@@ -103,9 +120,9 @@ class TestIntegrityChecks:
         g = load_edge_list(io.StringIO("x y\ny z\nz x\nz w\n"))  # triangle x y z, tail z w
         real = ego._triangles_and_four_cliques
 
-        def too_many(graph):
-            tri, cliques = real(graph)
-            return tri, cliques + np.array([0, 1, 0, 1])  # 4-cliques at y and w
+        def too_many(graph, centers):
+            tri, f3 = real(graph, centers)
+            return tri, f3 + np.array([1, 0, 1])  # 4-cliques at w and y
 
         monkeypatch.setattr(ego, "_triangles_and_four_cliques", too_many)
         with pytest.raises(IntegrityError, match=r"^negative neighborhood count at center w "):

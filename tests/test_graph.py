@@ -47,6 +47,30 @@ class TestLoadEdgeList:
         assert g.vertex_count == 5
         assert g.degree(4) == 0
 
+    def test_padding_labels_are_decimal_ids_after_file_labels(self):
+        g = load_edge_list(io.StringIO("a 7\n"), vertex_count=10)
+        assert g.labels == ["a", "7"]
+        assert [g.label_of(v) for v in (0, 1, 2, 7, 9)] == ["a", "7", "2", "7", "9"]
+        # the file's "7" wins over padding vertex 7's label
+        assert [g.id_of_label(x) for x in ("a", "7", "2", "9")] == [0, 1, 2, 9]
+        for unknown in ("10", "07", "+9", " 9", "b", "-1"):
+            with pytest.raises(UsageError, match="unknown vertex label"):
+                g.id_of_label(unknown)
+
+    def test_padding_keeps_no_label_per_vertex(self):
+        tracemalloc.start()
+        try:
+            g = load_edge_list(io.StringIO("a b\nb c\nc a\n"), vertex_count=10 ** 6)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.labels == ["a", "b", "c"]
+        assert g.label_of(999_999) == "999999"
+        assert g.id_of_label("999999") == 999_999
+        # the arrays (indptr and degrees) hold 16 MB; a str per padding
+        # vertex would add more than 50 MB
+        assert held < 24 * 2 ** 20, held
+
     def test_override_below_seen_rejected(self):
         with pytest.raises(UsageError):
             load_edge_list(io.StringIO("0 1\n1 2\n"), vertex_count=2)

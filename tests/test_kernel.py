@@ -5,7 +5,9 @@ polynomial values, and the masked sampled profile against a rebuilt subgraph.
 Every case also runs with the step budgets (pairs per step, and triangle
 extensions per step of the 4-clique pass) at 1 and at a small prime, so that
 step boundaries fall everywhere, inside one vertex's out-list too (in K7 the
-lowest-ranked vertex alone has 15 sibling pairs).
+lowest-ranked vertex alone has 15 sibling pairs). Ego also runs on random
+center subsets, so that 4-cliques are found both from a center triangle and
+through the out-lists restricted to center heads.
 """
 
 import io
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triprof import (PolynomialValues, UndirectedGraph, UsageError, census_terms,
-                     compute_profile, ego, ego_parallel, evaluate_polynomials,
+                     compute_profile, ego, ego_parallel, ego_serial, evaluate_polynomials,
                      load_edge_list, profiles, subgraph_from_mask)
 from triprof.oracle import brute_force_ego
 
@@ -100,10 +102,52 @@ def test_kernel_matches_brute_force(name, budget, monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_matches_brute_force_with_coarsened_sort(name, budget, monkeypatch):
+    # 62 query bits leave one bit for the index, so every step with two or
+    # more pairs sorts its queries shifted right
+    set_budget(budget, monkeypatch)
+    real = profiles._packed_order
+    monkeypatch.setattr(profiles, "_packed_order", lambda query, qbits: real(query, 62))
+    g = CASES[name]
+    assert np.array_equal(profiles.edge_triangle_counts(g), brute_edge_triangles(g))
+
+
+@pytest.mark.parametrize("qbits", [8, 60, 63])
+def test_packed_order_sorts_by_the_kept_query_bits(qbits):
+    query = np.random.default_rng(qbits).integers(0, 2 ** qbits, size=1000)
+    s = profiles._packed_order(query, qbits)
+    assert sorted(s.tolist()) == list(range(1000))
+    shift = max(qbits + 10 - 63, 0)  # 1000 has 10 bits
+    kept = query[s] >> shift
+    assert np.all((kept[1:] > kept[:-1]) | ((kept[1:] == kept[:-1]) & (s[1:] > s[:-1])))
+    if not shift:
+        assert np.array_equal(query[s], np.sort(query))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_ego_matches_brute_force(name, budget, monkeypatch):
     set_budget(budget, monkeypatch)
     g = CASES[name]
     assert ego_parallel(g, range(g.vertex_count)) == brute_egos(name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subset=st.sampled_from(["none", "one", "some", "all"]), seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ego_on_center_subsets_matches_serial_and_brute_force(name, budget, subset, seed):
+    g = CASES[name]
+    n = g.vertex_count
+    rng = np.random.default_rng(seed)
+    size = {"none": 0, "one": min(n, 1), "some": int(rng.integers(0, n + 1)), "all": n}[subset]
+    centers = rng.permutation(n)[:size]
+    with pytest.MonkeyPatch.context() as mp:
+        set_budget(budget, mp)
+        par = ego_parallel(g, centers)
+        ser = ego_serial(g, centers)
+    assert list(par) == list(ser) == centers.tolist()
+    assert par == ser == {v: brute_egos(name)[v] for v in centers.tolist()}
 
 
 @pytest.mark.parametrize("budget", [None, 1, 7])
