@@ -14,9 +14,8 @@ from .errors import IntegrityError, ParseError, UsageError
 from .graph import UndirectedGraph, induced_subgraph, load_edge_list
 from .profiles import (LocalProfile, ProfileVector, compute_profile, count_triangles_only,
                        gather_local_profiles, global_profile_from_local, scatter_edge_scalars)
-from .sampling import (SampleParams, expected_sampled_profile, sample_edges,
-                       sample_mask, subgraph_from_mask, transition_matrix,
-                       unbiased_estimate)
+from .sampling import (SampleParams, expected_sampled_profile, sample_mask,
+                       subgraph_from_mask, transition_matrix, unbiased_estimate)
 from .theory import (EdgeExtremes, PolynomialValues, TheoremReport,
                      check_theorem_conditions, census_terms, edge_extremes,
                      evaluate_polynomials)
@@ -29,7 +28,7 @@ __all__ = [
     "ProfileVector", "LocalProfile", "scatter_edge_scalars",
     "gather_local_profiles", "global_profile_from_local", "compute_profile",
     "count_triangles_only",
-    "SampleParams", "sample_edges", "sample_mask", "subgraph_from_mask",
+    "SampleParams", "sample_mask", "subgraph_from_mask",
     "transition_matrix", "unbiased_estimate", "expected_sampled_profile",
     "EgoProfile", "EgoTable", "ego_serial", "ego_parallel",
     "EdgeExtremes", "PolynomialValues", "TheoremReport", "edge_extremes",

@@ -319,15 +319,14 @@ def _cmd_polys(args) -> dict:
     started = time.perf_counter()
     g = _load_graph(args)
     engine = Engine(args.threads)
-    terms = theory.census_terms(g)
-    runs = []
-    for i in range(args.runs):
-        params = sampling.SampleParams(args.p, (args.seed + i) % 2 ** 64)
-        mask = sampling.sample_mask(g, params)
-        values = theory.evaluate_polynomials(g, mask, terms)
-        r1, r2 = values.identity_residuals()
-        runs.append({"seed": params.seed, "values": values.as_json(),
-                     "identity_residuals": [r1, r2]})
+    seeds = [(args.seed + i) % 2 ** 64 for i in range(args.runs)]
+    masks = (sampling.sample_mask(g, sampling.SampleParams(args.p, seed)) for seed in seeds)
+    start = time.perf_counter()
+    terms = theory.census_terms(g, masks)
+    engine.record("polys:triangle-pass", time.perf_counter() - start)
+    runs = [{"seed": seed, "values": values.as_json(),
+             "identity_residuals": list(values.identity_residuals())}
+            for seed, values in zip(seeds, terms.values)]
     report = {"command": "polys", "graph": _graph_block(args, g),
               "p": args.p, "runs": runs}
     return _finish(args, engine, report, started)

@@ -307,7 +307,8 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     first-appearance order. Self-loops are dropped; duplicate and reversed
     duplicate edges are merged. ``vertex_count`` may exceed the number of
     labels seen, adding isolated vertices that are labeled by their decimal
-    ids when asked for; no label is stored for them.
+    ids when asked for; no label is stored for them, and an input label that
+    spells one of those ids is a usage error.
 
     ``source`` is a path to a UTF-8 file, a text handle, or an iterable of
     str or bytes lines. Tokens are separated by every character for which
@@ -321,6 +322,10 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
         raise UsageError(
             f"--vertex-count {vertex_count} is below the {seen} labels in the input")
     n = seen if vertex_count is None else int(vertex_count)
+    for x in labels if n > seen else ():  # padding vertex v is labeled str(v)
+        if x.isdecimal() and seen <= int(x) < n and str(int(x)) == x:
+            raise UsageError(f"input label {x!r} is also the label of padding vertex {x} "
+                             f"(--vertex-count {n} adds ids {seen} to {n - 1})")
     check_key_packing(n)
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
 

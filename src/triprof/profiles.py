@@ -25,9 +25,8 @@ from .engine import Engine, endpoint_sums, segment_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, check_key_packing
 
-# Sibling pairs checked per step, by the triangle enumeration and by the open
-# wedge enumeration. Each step holds a few int64 arrays of this length,
-# whatever the largest degree is.
+# Sibling pairs checked per step of the triangle enumeration. Each step holds
+# a few int64 arrays of this length, whatever the largest degree is.
 PAIR_BUDGET = 2 ** 20
 
 
@@ -125,7 +124,8 @@ def orient(g: UndirectedGraph) -> Orientation:
 
 def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each query in the sorted keys, and whether it is there."""
-    k = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    k = np.searchsorted(keys, query)
+    np.minimum(k, len(keys) - 1, out=k)
     return k, keys[k] == query
 
 
@@ -210,10 +210,12 @@ def _closing_edges(o: Orientation, qbits: int,
     i, j = pairs
     query = o.dst[i] * np.int64(o.n) + o.dst[j]
     s = _packed_order(query, qbits)
-    k, found = _lookup(o.keys, query[s])
+    query = query[s]  # each rebinding frees an array as soon as its copy is made
+    k, found = _lookup(o.keys, query)
     del query
+    k = k[found]
     s = s[found]
-    return i[s], j[s], k[found]
+    return i[s], j[s], k
 
 
 def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,
@@ -246,9 +248,7 @@ def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
     The kept positions of the sorted keys stay sorted, so only the out-list
     pointers are rebuilt. Triangles are enumerated on that view as in
     edge_triangle_counts and only counted; every other entry follows from the
-    kept degrees d and the kept edge count m: n2 = sum C(d, 2) - 3*n3,
-    n1 = m*(n - 2) - 2*n2 - 3*n3 (each edge with each third vertex) and
-    n0 = C(n, 3) - n1 - n2 - n3. The
+    kept degrees and the kept edge count (``_profile_from_degrees``). The
     work is the kept sibling pairs, about p**2 of the full graph's when each
     edge is kept with probability p.
     """
@@ -265,12 +265,18 @@ def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
     for i, j, k in _triangle_steps(view):
         n3 += len(k)
         del i, j, k  # not held while the next step is found
-    deg = out_deg + np.bincount(dst, minlength=n)
+    return _profile_from_degrees(out_deg + np.bincount(dst, minlength=n), len(kept), n3)
+
+
+def _profile_from_degrees(deg: np.ndarray, m: int, n3: int) -> ProfileVector:
+    """Exact profile of n = len(deg) vertices, m edges and n3 triangles:
+    n2 = sum C(d, 2) - 3*n3 and n1 = m*(n - 2) - 2*n2 - 3*n3."""
+    n = len(deg)
     n2 = _exact_sum(deg * (deg - 1) // 2) - 3 * n3
-    n1 = len(kept) * (n - 2) - 2 * n2 - 3 * n3
+    n1 = m * (n - 2) - 2 * n2 - 3 * n3
     n0 = math.comb(n, 3) - n1 - n2 - n3
     if min(n0, n1, n2, n3) < 0:
-        raise IntegrityError(f"negative masked profile entry: {(n0, n1, n2, n3)}")
+        raise IntegrityError(f"negative profile entry: {(n0, n1, n2, n3)}")
     return ProfileVector(n0, n1, n2, n3)
 
 

@@ -66,17 +66,6 @@ def sample_mask(g: UndirectedGraph, params: SampleParams) -> np.ndarray:
     return _uniform01(params.seed, g.edge_count) < params.p
 
 
-def sample_edges(g: UndirectedGraph,
-                 params: SampleParams) -> tuple[UndirectedGraph, np.ndarray]:
-    """Keep each edge independently; returns (subgraph, mask).
-
-    The subgraph keeps the full vertex set so triple counts stay comparable.
-    """
-    mask = sample_mask(g, params)
-    sub = subgraph_from_mask(g, mask)
-    return sub, mask
-
-
 def subgraph_from_mask(g: UndirectedGraph, mask: np.ndarray) -> UndirectedGraph:
     """Graph with the masked-in edges only, same vertex set and labels."""
     if len(mask) != g.edge_count:

@@ -1,24 +1,25 @@
 """Executable sparsifier analysis: per-edge extremes, feasibility conditions, and
 the indicator polynomials whose concentration drives the sampling guarantee.
 
-The polynomial evaluator works from the original graph's per-edge lone-edge
-and open-wedge weights, which follow from the per-edge triangle counts and the
-degrees, and from its triangle table, enumerated once. No wedge is enumerated:
-the wedge terms of a mask follow from the weights of its kept edges and from
-its kept degrees. Everything here is pure integer or float arithmetic over an
-immutable graph plus a sample mask.
+The polynomials of a batch of sample masks are counted in one pass over the
+shared oriented triangle enumeration: each triangle is classified, per mask,
+by how many of its edges the mask keeps. Every other term follows in closed
+form from those counts, the degrees and each mask's kept degrees, so no
+triangle or wedge is stored and the census keeps no per-edge array. Everything
+here is pure integer or float arithmetic over an immutable graph plus masks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import (ProfileVector, _exact_sum, _triangle_steps,
+from .profiles import (ProfileVector, _exact_sum, _profile_from_degrees, _triangle_steps,
                        edge_triangle_counts, orient)
 
 A1 = 8.0
@@ -60,54 +61,6 @@ def edge_extremes(g: UndirectedGraph, tri: np.ndarray | None = None) -> EdgeExtr
 
 
 @dataclass(frozen=True)
-class TermTables:
-    """Per-edge weights and the triangle table of a graph, for reuse across masks."""
-
-    n0: int
-    n2: int                   # open wedges
-    iso_weight: np.ndarray    # per edge: lone-edge triples whose edge it is
-    wedge_weight: np.ndarray  # per edge: open wedges with the edge as an arm
-    tri_e1: np.ndarray
-    tri_e2: np.ndarray
-    tri_e3: np.ndarray
-
-    @property
-    def wedge_count(self) -> int:
-        return self.n2
-
-    @property
-    def triangle_count(self) -> int:
-        return len(self.tri_e1)
-
-
-def census_terms(g: UndirectedGraph) -> TermTables:
-    """Collect the indicator-term structure of a graph once, for reuse across masks.
-
-    Triangles come from the shared oriented enumeration, as edge-id triples;
-    the per-edge weights follow from their per-edge counts and the degrees.
-    Each open wedge has two arms, so n2 is half the sum of the wedge weights.
-    """
-    n, m = g.vertex_count, g.edge_count
-    o = orient(g)
-    tri = [np.zeros((0, 3), dtype=np.int64)]
-    for step in _triangle_steps(o):
-        tri.append(o.order[np.stack(step, axis=1)])
-        del step  # not held while the next step is found
-    tri = np.concatenate(tri)
-    iso_weight, wedge_weight = _edge_weights(g, np.bincount(tri.ravel(), minlength=m))
-    n1, n2 = _exact_sum(iso_weight), _exact_sum(wedge_weight) // 2
-    return TermTables(
-        n0=math.comb(n, 3) - n1 - n2 - len(tri),
-        n2=n2,
-        iso_weight=iso_weight,
-        wedge_weight=wedge_weight,
-        tri_e1=tri[:, 0],
-        tri_e2=tri[:, 1],
-        tri_e3=tri[:, 2],
-    )
-
-
-@dataclass(frozen=True)
 class PolynomialValues:
     """Exact values of the indicator polynomials on one mask."""
 
@@ -132,47 +85,96 @@ class PolynomialValues:
                 for k in ("y0", "y1", "y2", "y3", "s1", "d1", "d2", "t1", "t2")}
 
 
+@dataclass(frozen=True)
+class TermTables:
+    """A graph's exact profile and each mask's polynomials, from one enumeration."""
+
+    profile: ProfileVector
+    values: tuple[PolynomialValues, ...]
+
+    @property
+    def wedge_count(self) -> int:
+        return self.profile.n2
+
+    @property
+    def triangle_count(self) -> int:
+        return self.profile.n3
+
+
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = ()) -> TermTables:
+    """The graph's profile and the polynomials of every mask, from one pass
+    over the shared oriented triangle enumeration that stores no triangle.
+
+    Bit r of byte b of an edge holds mask 8*b + r. Each step bincounts its
+    triangles on their edges, for the check of ``_edge_weights``, and, per
+    byte, the byte values that mark the masks keeping at least one, two and
+    three of a triangle's edges, read out per bit through ``_BITS``. Memory
+    is O(|V| + |E| * masks / 8) plus one PAIR_BUDGET step.
+    """
+    m = g.edge_count
+    o = orient(g)  # built before the masks are drawn: a lower peak RSS, as measured
+    hits = np.zeros(m, dtype=np.int64)
+    packed, slots = [], []  # (byte, bit) of each mask
+    for t in masks:
+        if len(t) != m:
+            raise UsageError(f"mask has {len(t)} entries for {m} edges")
+        b, bit = divmod(len(slots), 8)
+        packed += [np.zeros(m, dtype=np.uint8)] if bit == 0 else []
+        packed[b] |= np.asarray(t, dtype=bool).view(np.uint8) << bit
+        slots.append((b, bit))
+    hist = np.zeros((len(packed), 3, 256), dtype=np.int64)
+    for i, j, k in _triangle_steps(o):
+        for x in (i, j, k):
+            np.take(o.order, x, out=x)  # sorted positions become edge ids in place
+            hits += np.bincount(x, minlength=m)
+        for h, row in zip(hist, packed):
+            a, b, c = row[i], row[j], row[k]
+            h[0] += np.bincount(a | b | c, minlength=256)
+            h[1] += np.bincount((a & b) | (c & (a | b)), minlength=256)
+            h[2] += np.bincount(a & b & c, minlength=256)
+        del i, j, k  # not held while the next step is found
+    _edge_weights(g, hits)  # raises IntegrityError on a negative weight
+    profile = _profile_from_degrees(g.degrees, m, _exact_sum(hits) // 3)
+    at_least = hist @ _BITS  # [byte, at least 1/2/3 kept edges, bit]
+    return TermTables(profile, tuple(
+        _mask_values(g, profile, ((packed[b] >> bit) & 1).view(bool),
+                     *at_least[b, :, bit].tolist()) for b, bit in slots))
+
+
+def _mask_values(g: UndirectedGraph, profile: ProfileVector, t: np.ndarray,
+                 g1: int, g2: int, g3: int) -> PolynomialValues:
+    """The polynomials on mask ``t``, of whose triangles g1, g2 and g3 keep
+    at least one, two and three edges.
+
+    S1 and D1 sum the ``_edge_weights`` over the kept edges: their triangle
+    parts sum to T1, their degree parts to sum d*d' over the kept degrees d'.
+    Each pair of kept edges at a vertex, sum C(d', 2), is an open wedge with
+    both arms kept or two kept sides of a triangle: D2 = sum C(d', 2) - T2.
+    Of the n2 open wedges, D1 - 2*D2 keep one arm and n2 - D1 + D2 none.
+    """
+    n = g.vertex_count
+    h0, h1, h2, h3 = profile.n3 - g1, g1 - g2, g2 - g3, g3
+    kept_deg = np.bincount(g.edge_u[t], minlength=n) + np.bincount(g.edge_w[t], minlength=n)
+    kept, ends = int(np.count_nonzero(t)), _exact_sum(g.degrees * kept_deg)
+    t1, t2 = h1 + 2 * h2 + 3 * h3, h2 + 3 * h3
+    s1, d1 = kept * n - ends + t1, ends - 2 * kept - 2 * t1
+    d2 = _exact_sum(kept_deg * (kept_deg - 1) // 2) - t2
+    y0 = profile.n0 + profile.n1 - s1 + profile.n2 - d1 + d2 + h0
+    return PolynomialValues(y0, s1 + d1 - 2 * d2 + h1, d2 + h2, h3, s1, d1, d2, t1, t2)
+
+
 def evaluate_polynomials(g: UndirectedGraph, mask: np.ndarray,
                          terms: TermTables | None = None) -> PolynomialValues:
-    """Evaluate every polynomial on one sample mask against the original graph.
-
-    Triangle terms count kept/dropped patterns over the triangle table, on
-    boolean arrays with count_nonzero. No wedge is enumerated. D1 is the sum of
-    the kept edges' wedge weights. Every pair of kept edges that share a vertex,
-    sum C(d', 2) over the kept degrees d', is either an open wedge with both
-    arms kept or two kept sides of a triangle, which T2 counts, so
-    D2 = sum C(d', 2) - T2. Of the n2 open wedges, D1 - 2*D2 keep exactly one
-    arm and n2 - D1 + D2 keep none.
-    """
-    if len(mask) != g.edge_count:
-        raise UsageError(f"mask has {len(mask)} entries for {g.edge_count} edges")
-    if terms is None:
-        terms = census_terms(g)
-    t = np.asarray(mask, dtype=bool)
-
-    def cnt(x: np.ndarray) -> int:
-        return int(np.count_nonzero(x))
-
-    ta, tb, tc = t[terms.tri_e1], t[terms.tri_e2], t[terms.tri_e3]
-    ab, bc, ca = ta & tb, tb & tc, tc & ta
-    kept3 = ab & tc
-    t1 = cnt(ta) + cnt(tb) + cnt(tc)
-    t2 = cnt(ab) + cnt(bc) + cnt(ca)
-    y3 = cnt(kept3)
-
-    n = g.vertex_count
-    kept_deg = (np.bincount(g.edge_u[t], minlength=n)
-                + np.bincount(g.edge_w[t], minlength=n))
-    s1 = int(terms.iso_weight[t].sum())
-    d1 = _exact_sum(terms.wedge_weight[t])
-    d2 = _exact_sum(kept_deg * (kept_deg - 1) // 2) - t2
-
-    y0 = (terms.n0 + int(terms.iso_weight[~t].sum()) + terms.n2 - d1 + d2
-          + cnt(~(ta | tb | tc)))
-    y1 = s1 + d1 - 2 * d2 + cnt((ta ^ tb ^ tc) & ~kept3)  # exactly one edge kept
-    y2 = d2 + cnt((ab | bc | ca) & ~kept3)  # exactly two edges kept
-
-    return PolynomialValues(y0, y1, y2, y3, s1, d1, d2, t1, t2)
+    """Evaluate every polynomial on one sample mask against the original graph,
+    as ``census_terms`` on a batch of one. ``terms``, when given, must hold
+    the census of ``g``; UsageError is raised when it does not."""
+    found = census_terms(g, [mask])
+    if terms is not None and terms.profile != found.profile:
+        raise UsageError("the given terms do not match this graph's census")
+    return found.values[0]
 
 
 @dataclass(frozen=True)

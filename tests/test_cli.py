@@ -210,6 +210,22 @@ class TestHostileInput:
         assert main([command, c5_file, "--p", "0.5", "--seed", seed]) == 1
         assert "must be below 2**64" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["profile", "{g}", "--local-tsv", "{out}"],
+        ["ego", "{g}", "--all"],
+        ["ego", "{g}", "--centers", "{centers}"],
+    ], ids=["profile-local-tsv", "ego-all", "ego-centers"])
+    def test_padding_label_clash_is_a_usage_error(self, capsys, tmp_path, argv):
+        # the file's label 7 would share its name with padding vertex 7
+        path, centers = tmp_path / "g.txt", tmp_path / "centers.txt"
+        path.write_text("a b\nb c\nc a\n7 a\n7 b\n7 c\n")
+        centers.write_text("7\n")
+        argv = [a.format(g=path, out=tmp_path / "local.tsv", centers=centers) for a in argv]
+        assert main(argv + ["--vertex-count", "10"]) == 1
+        assert "input label '7' is also the label of padding vertex 7" in \
+            self.one_line_error(capsys)
+        assert not (tmp_path / "local.tsv").exists()
+
     def test_largest_seed_accepted(self, capsys, c5_file):
         code, report = run_cli(capsys, "profile", c5_file, "--p", "0.5",
                                "--seed", str(2 ** 64 - 1), "--runs", "2")
@@ -273,9 +289,11 @@ class TestEgoCommand:
         assert code == 0
         assert [row[0] for row in report["egos"]] == ["1", "3"]
 
-    @pytest.mark.parametrize("padding", [[], ["--vertex-count", "10"]])
+    @pytest.mark.parametrize("padding", [
+        [], pytest.param(["--vertex-count", "7"], id="padding-below-label")])
     def test_file_label_wins_over_padding_vertex_id(self, capsys, tmp_path, padding):
-        # vertex "7" is joined to the triangle a b c; padding vertex 7 is isolated
+        # vertex "7" is joined to the triangle a b c; padding that would add an
+        # isolated vertex 7 is refused (test_padding_label_clash_is_a_usage_error)
         path = tmp_path / "g.txt"
         path.write_text("a b\nb c\nc a\n7 a\n7 b\n7 c\n")
         centers = tmp_path / "centers.txt"
@@ -395,6 +413,24 @@ class TestPolysCommand:
         for run in report["runs"]:
             assert run["identity_residuals"] == [0, 0]
 
+    def test_one_triangle_pass_for_every_run(self, capsys, c5_file, monkeypatch):
+        from triprof import theory
+
+        steps = []
+        real_steps = theory._triangle_steps
+
+        def counted_steps(o):
+            steps.append(o)
+            return real_steps(o)
+
+        monkeypatch.setattr(theory, "_triangle_steps", counted_steps)
+        code, report = run_cli(capsys, "polys", c5_file, "--p", "0.5", "--runs", "3",
+                               "--no-timing")
+        assert code == 0
+        assert len(report["runs"]) == 3
+        assert len(steps) == 1
+        assert [ph["name"] for ph in report["phases"]] == ["polys:triangle-pass"]
+
     def test_star_beyond_fifty_million_open_wedges(self, capsys, tmp_path):
         # C(10001, 2) = 50_005_000 open wedges, and not one is enumerated
         path = tmp_path / "star.txt"
@@ -473,3 +509,20 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["global"]["n3"] == 4
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """Every command the CLI runs on a graph works where scipy cannot be imported."""
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_TEXT)
+    g = str(path)
+    argvs = [["profile", g], ["profile", g, "--p", "0.5"], ["ego", g, "--all"],
+             ["sparsifier-check", g, "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"],
+             ["polys", g, "--p", "0.5"]]
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from triprof.cli import main\n"
+              f"print([main(argv + ['--out', {str(tmp_path / 'r.json')!r}]) "
+              f"for argv in {argvs!r}])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(argvs), proc.stderr

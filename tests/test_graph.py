@@ -48,14 +48,29 @@ class TestLoadEdgeList:
         assert g.degree(4) == 0
 
     def test_padding_labels_are_decimal_ids_after_file_labels(self):
-        g = load_edge_list(io.StringIO("a 7\n"), vertex_count=10)
+        # load_edge_list refuses these labels (see the test below); a graph
+        # built from them directly resolves a stored label first
+        g = UndirectedGraph.from_edges([(0, 1)], vertex_count=10, labels=["a", "7"])
         assert g.labels == ["a", "7"]
         assert [g.label_of(v) for v in (0, 1, 2, 7, 9)] == ["a", "7", "2", "7", "9"]
-        # the file's "7" wins over padding vertex 7's label
+        # the stored "7" wins over padding vertex 7's label
         assert [g.id_of_label(x) for x in ("a", "7", "2", "9")] == [0, 1, 2, 9]
         for unknown in ("10", "07", "+9", " 9", "b", "-1"):
             with pytest.raises(UsageError, match="unknown vertex label"):
                 g.id_of_label(unknown)
+
+    @pytest.mark.parametrize("vertex_count", [8, 10])
+    def test_label_spelling_a_padding_id_is_refused(self, vertex_count):
+        text = "a b\nb c\nc a\n7 a\n7 b\n7 c\n"
+        with pytest.raises(UsageError, match="input label '7' is also the label of padding"):
+            load_edge_list(io.StringIO(text), vertex_count=vertex_count)
+        with pytest.raises(UsageError, match="label '4' .* adds ids 4 to"):  # the first padding id
+            load_edge_list(io.StringIO("a b\nb c\nc 4\n"), vertex_count=vertex_count)
+        # padding that stops below id 7, and labels that only look like it, load
+        assert load_edge_list(io.StringIO(text), vertex_count=7).id_of_label("7") == 3
+        for label in ("07", "+7", "7.0", "\u0667"):
+            g = load_edge_list(io.StringIO(f"a b\n{label} a\n"), vertex_count=vertex_count)
+            assert g.labels == ["a", "b", label]
 
     def test_padding_keeps_no_label_per_vertex(self):
         tracemalloc.start()

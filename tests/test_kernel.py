@@ -1,5 +1,5 @@
 """The shared triangle enumeration and its consumers against brute force:
-per-edge triangle counts, ego profiles, the polynomial term tables and the
+per-edge triangle counts, ego profiles, the polynomial census and the
 polynomial values, and the masked sampled profile against a rebuilt subgraph.
 
 Every case also runs with the step budgets (pairs per step, and triangle
@@ -12,6 +12,7 @@ through the out-lists restricted to center heads.
 
 import io
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -157,14 +158,29 @@ def test_census_terms_match_brute_force(name, budget, monkeypatch):
     g = CASES[name]
     terms = census_terms(g)
     tris, wedges, iso, n0 = brute_terms(name)
-    got_tris = np.sort(np.stack([terms.tri_e1, terms.tri_e2, terms.tri_e3], axis=1), axis=1)
-    assert sorted(map(tuple, got_tris.tolist())) == tris
-    arms = np.array(wedges, dtype=np.int64).reshape(-1, 2)
-    assert terms.wedge_weight.tolist() == np.bincount(
-        arms.ravel(), minlength=g.edge_count).tolist()
     assert terms.wedge_count == len(wedges)
-    assert terms.iso_weight.tolist() == iso
-    assert terms.n0 == n0
+    assert terms.triangle_count == len(tris)
+    assert terms.profile.n0 == n0
+
+
+def test_census_memory_does_not_grow_with_triangles(monkeypatch):
+    """K150 has 551 300 triangles, 12.6 MiB as edge-id triples; the census of
+    two masks holds per-edge and per-vertex arrays and one small step. A
+    triangle table peaked at 25.6 MiB here."""
+    set_budget(4096, monkeypatch)
+    g = complete_graph(150)
+    rng = np.random.default_rng(5)
+    masks = [rng.random(g.edge_count) < 0.5 for _ in range(2)]
+    tracemalloc.start()
+    try:
+        terms = census_terms(g, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms.triangle_count == math.comb(150, 3)
+    assert [v.y3 for v in terms.values] == [
+        evaluate_polynomials(g, t).y3 for t in masks]
+    assert peak < 4 << 20, peak
 
 
 def brute_polynomials(name, t):
@@ -202,6 +218,19 @@ def test_polynomials_match_brute_force(name, budget, p, monkeypatch):
         got = evaluate_polynomials(g, mask, terms)
         assert got == brute_polynomials(name, mask)
         assert all(type(x) is int for x in got.as_json().values())
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_census_of_many_masks_matches_brute_force(name, budget, monkeypatch):
+    """Eleven masks, so the packed masks span two bytes per edge."""
+    set_budget(budget, monkeypatch)
+    g = CASES[name]
+    rng = np.random.default_rng(11)
+    masks = [rng.random(g.edge_count) < p for p in np.linspace(0, 1, 11)]
+    terms = census_terms(g, iter(masks))
+    assert terms == census_terms(g, masks)
+    assert list(terms.values) == [brute_polynomials(name, t) for t in masks]
 
 
 def rebuilt_profile(g, mask):

@@ -149,6 +149,13 @@ class TestPolynomials:
         with pytest.raises(UsageError):
             evaluate_polynomials(c5, np.ones(3, dtype=bool))
 
+    def test_terms_of_another_graph_rejected(self, c5, k4):
+        mask = np.ones(c5.edge_count, dtype=bool)
+        assert evaluate_polynomials(c5, mask, census_terms(c5)) == \
+            evaluate_polynomials(c5, mask)
+        with pytest.raises(UsageError, match="do not match"):
+            evaluate_polynomials(c5, mask, census_terms(k4))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(4, 24), st.floats(0.1, 0.9))
     def test_identities_hold_for_random_masks(self, seed, n, density):
