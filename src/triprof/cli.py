@@ -1,8 +1,10 @@
 """Command-line entry point: run pipelines and emit machine-readable JSON reports.
 
-Every report is fully determined by (input file, flags, seed); pass
---no-timing to mask wall-clock fields so reports can be compared byte for
-byte across worker counts.
+``main`` is the one run skeleton: it checks the worker count, loads the
+graph, lets the command add its keys to the report, then records the worker
+count once and the phases. Every report is fully determined by (input file,
+flags, seed); pass --no-timing to mask the wall-clock fields and the worker
+count so reports can be compared byte for byte across worker counts.
 """
 
 from __future__ import annotations
@@ -80,17 +82,16 @@ def _build_parser() -> _Parser:
                      description="3-profiles of undirected graphs: exact, sampled, and ego")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="edge-list file ('#' comments, two labels per line)")
-            p.add_argument("--vertex-count", type=_non_negative, default=None,
-                           help="declare |V| larger than the labels seen (isolated vertices)")
+    def add_common(p):
+        p.add_argument("graph", help="edge-list file ('#' comments, two labels per line)")
+        p.add_argument("--vertex-count", type=_non_negative, default=None,
+                       help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
-                       help="engine worker count, recorded in each phase; the "
-                            "triangle kernel is serial (default: TRIPROF_THREADS or all cores)")
+                       help="engine worker count, recorded once per report; every "
+                            "computation is serial (default: TRIPROF_THREADS or all cores)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
-                       help="mask wall-clock and worker fields for byte-stable reports")
+                       help="mask wall-clock fields and the worker count for byte-stable reports")
 
     p = sub.add_parser("profile", help="global and per-vertex 3-profile, exact or sampled")
     add_common(p)
@@ -110,7 +111,6 @@ def _build_parser() -> _Parser:
                    help="pick K random centers")
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--all", action="store_true", help="every vertex is a center")
-    p.add_argument("--mode", choices=("serial", "parallel"), default="parallel")
     p.add_argument("--tsv", default=None, help="write 'center f0 f1 f2 f3' rows here")
 
     p = sub.add_parser("oracle", help="brute-force reference counts for cross-checking")
@@ -141,14 +141,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(args) -> UndirectedGraph:
-    return load_edge_list(args.graph, vertex_count=args.vertex_count)
-
-
-def _graph_block(args, g: UndirectedGraph) -> dict:
-    return {"path": args.graph, "vertices": g.vertex_count, "edges": g.edge_count}
-
-
 def _emit(args, report: dict) -> None:
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -158,12 +150,6 @@ def _emit(args, report: dict) -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish(args, engine: Engine, report: dict, started: float) -> dict:
-    report["phases"] = [s.as_json(mask_timing=args.no_timing) for s in engine.phases]
-    report["elapsed_seconds"] = None if args.no_timing else time.perf_counter() - started
-    return report
 
 
 def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
@@ -202,11 +188,7 @@ def _write_tsv(path: str, header: str, labels: list[str], columns) -> None:
         fh.write("".join(map(row.__mod__, zip(labels, *(c.tolist() for c in columns)))))
 
 
-def _cmd_profile(args) -> dict:
-    started = time.perf_counter()
-    g = _load_graph(args)
-    engine = Engine(args.threads)
-    report: dict = {"command": "profile", "graph": _graph_block(args, g)}
+def _cmd_profile(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     warnings: list[str] = []
 
     # sampled runs count on masked views of one orientation, shared with the
@@ -250,7 +232,6 @@ def _cmd_profile(args) -> dict:
             warnings.extend(ratio_warnings)
 
     report["warnings"] = warnings
-    return _finish(args, engine, report, started)
 
 
 def _add_ego_table(args, g: UndirectedGraph, table: "ego_mod.EgoTable", report: dict) -> None:
@@ -264,24 +245,13 @@ def _add_ego_table(args, g: UndirectedGraph, table: "ego_mod.EgoTable", report: 
         report["egos"] = list(map(list, zip(labels, *table.counts.T.tolist())))
 
 
-def _cmd_ego(args) -> dict:
-    started = time.perf_counter()
-    g = _load_graph(args)
-    engine = Engine(args.threads)
-    centers = _select_centers(args, g)
-    run = ego_mod.ego_serial if args.mode == "serial" else ego_mod.ego_parallel
-    table = run(g, centers, engine)
-    report: dict = {"command": "ego", "graph": _graph_block(args, g), "mode": args.mode}
+def _cmd_ego(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
+    table = ego_mod.ego_parallel(g, _select_centers(args, g), engine)
     _add_ego_table(args, g, table, report)
-    return _finish(args, engine, report, started)
 
 
-def _cmd_oracle(args) -> dict:
-    started = time.perf_counter()
-    g = _load_graph(args)
-    engine = Engine(args.threads)
-    report: dict = {"command": "oracle", "graph": _graph_block(args, g),
-                    "method": "brute-force"}
+def _cmd_oracle(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
+    report["method"] = "brute-force"
     if args.ego:
         ids = list(dict.fromkeys(_select_centers(args, g).tolist()))
         counts = [oracle_mod.brute_force_ego(g, v).as_tuple() for v in ids]
@@ -292,13 +262,9 @@ def _cmd_oracle(args) -> dict:
         report["global"] = oracle_mod.brute_force_profile(g).as_json()
     if args.four_cliques:
         report["four_cliques"] = oracle_mod.brute_force_four_cliques(g)
-    return _finish(args, engine, report, started)
 
 
-def _cmd_sparsifier_check(args) -> dict:
-    started = time.perf_counter()
-    g = _load_graph(args)
-    engine = Engine(args.threads)
+def _cmd_sparsifier_check(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     tri = scatter_edge_scalars(g, engine)
     profile = global_profile_from_local(gather_local_profiles(g, tri, engine))
     extremes = theory.edge_extremes(g, tri)
@@ -306,30 +272,22 @@ def _cmd_sparsifier_check(args) -> dict:
     result = theory.check_theorem_conditions(
         profile, extremes, g.edge_count, args.p, args.epsilon, args.gamma,
         log_base=base, form=args.form)
-    report = {"command": "sparsifier-check", "graph": _graph_block(args, g),
-              "profile": profile.as_json(),
-              "extremes": {"alpha": extremes.alpha, "beta": extremes.beta,
-                           "delta": extremes.delta},
-              "form": args.form}
-    report.update(result.as_json())
-    return _finish(args, engine, report, started)
+    report.update(profile=profile.as_json(),
+                  extremes={"alpha": extremes.alpha, "beta": extremes.beta,
+                            "delta": extremes.delta},
+                  form=args.form, **result.as_json())
 
 
-def _cmd_polys(args) -> dict:
-    started = time.perf_counter()
-    g = _load_graph(args)
-    engine = Engine(args.threads)
+def _cmd_polys(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     seeds = [(args.seed + i) % 2 ** 64 for i in range(args.runs)]
     masks = (sampling.sample_mask(g, sampling.SampleParams(args.p, seed)) for seed in seeds)
     start = time.perf_counter()
     terms = theory.census_terms(g, masks)
     engine.record("polys:triangle-pass", time.perf_counter() - start)
-    runs = [{"seed": seed, "values": values.as_json(),
-             "identity_residuals": list(values.identity_residuals())}
-            for seed, values in zip(seeds, terms.values)]
-    report = {"command": "polys", "graph": _graph_block(args, g),
-              "p": args.p, "runs": runs}
-    return _finish(args, engine, report, started)
+    report["p"] = args.p
+    report["runs"] = [{"seed": seed, "values": values.as_json(),
+                       "identity_residuals": list(values.identity_residuals())}
+                      for seed, values in zip(seeds, terms.values)]
 
 
 _COMMANDS = {
@@ -345,7 +303,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        report = _COMMANDS[args.command](args)
+        engine = Engine(args.threads)
+        started = time.perf_counter()
+        g = load_edge_list(args.graph, vertex_count=args.vertex_count)
+        report = {"command": args.command,
+                  "graph": {"path": args.graph, "vertices": g.vertex_count,
+                            "edges": g.edge_count}}
+        _COMMANDS[args.command](args, g, engine, report)
+        report["workers"] = None if args.no_timing else engine.workers
+        report["phases"] = [s.as_json(mask_timing=args.no_timing) for s in engine.phases]
+        report["elapsed_seconds"] = None if args.no_timing else time.perf_counter() - started
         _emit(args, report)
         return 0
     except UsageError as exc:

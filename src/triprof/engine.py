@@ -5,8 +5,9 @@ of per-edge values.
 and checks on its result that every sum stayed exact.
 
 Every computation is serial and vectorized. The worker count (``--threads``,
-``TRIPROF_THREADS``) is validated and recorded with each phase, and splits no
-work. Communication volume is accounted arithmetically (records times record
+``TRIPROF_THREADS``) is validated when the engine is built, which the CLI does
+before it reads the graph; the CLI records it once per report, and it splits
+no work. Communication volume is accounted arithmetically (records times record
 width), never measured from a transport, which keeps the counters reproducible
 and identical for every worker count.
 """
@@ -36,7 +37,6 @@ class PhaseStats:
     elapsed: float
     bytes_scattered: int
     bytes_gathered: int
-    worker_count: int
 
     def as_json(self, mask_timing: bool = False) -> dict:
         return {
@@ -44,7 +44,6 @@ class PhaseStats:
             "seconds": None if mask_timing else self.elapsed,
             "bytes_scattered": self.bytes_scattered,
             "bytes_gathered": self.bytes_gathered,
-            "workers": None if mask_timing else self.worker_count,
         }
 
 
@@ -72,8 +71,7 @@ class Engine:
 
     def record(self, phase_name: str, elapsed: float,
                bytes_scattered: int = 0, bytes_gathered: int = 0) -> PhaseStats:
-        stats = PhaseStats(phase_name, elapsed, int(bytes_scattered),
-                           int(bytes_gathered), self.workers)
+        stats = PhaseStats(phase_name, elapsed, int(bytes_scattered), int(bytes_gathered))
         self.phases.append(stats)
         return stats
 

@@ -42,18 +42,16 @@ class UndirectedGraph:
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 edge_u: np.ndarray, edge_w: np.ndarray,
                  labels: list[str] | None = None):
         self._indptr = indptr
         self._indices = indices
         self._labels = labels
         self._label_index: dict[str, int] | None = None
         self._degrees = np.diff(indptr)
-        # Canonical edge list: CSR positions with col > row, which are already
-        # ordered lexicographically by (row, col).
-        rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), self._degrees)
-        upper = indices > rows
-        self._edge_u = rows[upper]
-        self._edge_w = indices[upper]
+        # canonical edges (u < w), ordered lexicographically by (u, w)
+        self._edge_u = edge_u
+        self._edge_w = edge_w
         self._pos_to_edge = None
         self._csr = None
         for arr in (self._indptr, self._indices, self._degrees,
@@ -70,8 +68,9 @@ class UndirectedGraph:
         ``labels`` name the first len(labels) vertices; every later vertex is
         labeled by its decimal id when asked for.
 
-        Edges are deduplicated by sorting their packed keys lo*n + hi, and the
-        CSR is laid out by sorting the packed keys of both directions, row*n + col.
+        Edges are deduplicated by sorting their packed keys lo*n + hi, which
+        also orders the canonical edges, and the CSR is laid out by sorting
+        the packed keys of both directions, row*n + col.
         """
         a = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                        dtype=np.int64).reshape(-1, 2)
@@ -98,13 +97,14 @@ class UndirectedGraph:
         del lo, hi
         edge_u, edge_w = np.divmod(keys, width)
         both = np.concatenate([keys, edge_w * width + edge_u])
-        del keys, edge_u, edge_w
+        del keys
         both.sort()
-        rows, indices = np.divmod(both, width)
+        indices = both % width
         del both
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(indptr, indices, labels)
+        np.cumsum(np.bincount(edge_u, minlength=n) + np.bincount(edge_w, minlength=n),
+                  out=indptr[1:])
+        return cls(indptr, indices, edge_u, edge_w, labels)
 
     # -- basic accessors ----------------------------------------------------
 

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import triprof
 from triprof import UndirectedGraph
 
 ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
+
+
+@pytest.fixture(autouse=True, scope="session")
+def children_import_this_triprof():
+    """Interpreters a test starts (``python -m triprof``) import the triprof
+    under test, also when it is on the path only through pytest's config."""
+    parts = [str(Path(triprof.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, parts)))
+        yield
 
 
 def log_acceptance(criterion: str, detail: str = "") -> None:

@@ -8,13 +8,19 @@ import sys
 import pytest
 
 from triprof import (IntegrityError, ProfileVector, SampleParams, compute_profile,
-                     load_edge_list, sample_mask, subgraph_from_mask)
+                     ego_serial, load_edge_list, sample_mask, subgraph_from_mask)
 from triprof.cli import _emit, accuracy_ratio, main
 
 from conftest import chung_lu
 
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
+
+# one call of each command that computes on the graph ("{g}"), the sampled
+# profile as well as the exact one
+COMMAND_ARGVS = [["profile", "{g}"], ["profile", "{g}", "--p", "0.5"], ["ego", "{g}", "--all"],
+                 ["sparsifier-check", "{g}", "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"],
+                 ["polys", "{g}", "--p", "0.5"]]
 
 
 @pytest.fixture
@@ -243,11 +249,18 @@ class TestHostileInput:
         ["polys", "--p", "0.5", "--runs", "0"],
         ["ego", "--random", "-3"],
         ["oracle", "--ego", "--random", "-3"],
+        ["profile", "--threads", "0"],
+        ["ego", "--all", "--threads", "-3"],
     ])
     def test_bad_parameter_refused_before_graph_is_read(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "missing.txt")
         assert main([argv[0], missing, *argv[1:]]) == 1
         self.one_line_error(capsys)
+
+    def test_env_threads_refused_before_graph_is_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRIPROF_THREADS", "0")
+        assert main(["profile", str(tmp_path / "missing.txt")]) == 1
+        assert "TRIPROF_THREADS" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("param", [
         ["--epsilon", "1e-200", "--gamma", "1"],
@@ -308,9 +321,10 @@ class TestEgoCommand:
         assert r1["egos"] == r2["egos"]
 
     def test_serial_matches_parallel(self, capsys, k4_file):
-        _, par = run_cli(capsys, "ego", k4_file, "--all", "--mode", "parallel")
-        _, ser = run_cli(capsys, "ego", k4_file, "--all", "--mode", "serial")
-        assert par["egos"] == ser["egos"]
+        _, report = run_cli(capsys, "ego", k4_file, "--all")
+        g = load_edge_list(k4_file)
+        serial = ego_serial(g, range(g.vertex_count))
+        assert report["egos"] == [[g.label_of(v), *serial[v].as_tuple()] for v in serial]
 
     def test_one_orientation_one_enumeration(self, capsys, c5_file, monkeypatch):
         from triprof import cli, ego, profiles
@@ -461,17 +475,19 @@ class TestDeterminism:
         g = chung_lu(150, 900, 1.7, seed=4)
         g.write_edge_list(graph)
         tables = []
-        for extra in (["--mode", "serial"], ["--mode", "parallel"],
-                      ["--threads", "1"], ["--threads", "2"]):
+        for workers in ("1", "2"):
             tsv = tmp_path / "ego.tsv"
             assert main(["ego", str(graph), "--all", "--no-timing", "--tsv", str(tsv),
-                         *extra]) == 0
+                         "--threads", workers]) == 0
             tables.append(tsv.read_bytes())
         capsys.readouterr()
+        loaded = load_edge_list(str(graph))
+        serial = ego_serial(loaded, range(loaded.vertex_count))
+        expected = "center\tf0\tf1\tf2\tf3\n" + "".join(
+            "\t".join(map(str, [loaded.label_of(v), *serial[v].as_tuple()])) + "\n"
+            for v in serial)
         assert len(tables[0].splitlines()) == 1 + int((g.degrees > 0).sum())
-        assert tables[0] == tables[1]
-        assert tables[2] == tables[3]
-        assert tables[1] == tables[2]
+        assert tables[0] == tables[1] == expected.encode()
 
     def test_ego_reports_identical_across_worker_counts(self, capsys, k4_file):
         reports = []
@@ -515,10 +531,7 @@ def test_no_command_imports_scipy(tmp_path):
     """Every command the CLI runs on a graph works where scipy cannot be imported."""
     path = tmp_path / "k4.txt"
     path.write_text(K4_TEXT)
-    g = str(path)
-    argvs = [["profile", g], ["profile", g, "--p", "0.5"], ["ego", g, "--all"],
-             ["sparsifier-check", g, "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"],
-             ["polys", g, "--p", "0.5"]]
+    argvs = [[a.format(g=path) for a in argv] for argv in COMMAND_ARGVS]
     script = ("import sys; sys.modules['scipy'] = None\n"
               "from triprof.cli import main\n"
               f"print([main(argv + ['--out', {str(tmp_path / 'r.json')!r}]) "
@@ -526,3 +539,21 @@ def test_no_command_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(argvs), proc.stderr
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS + [["oracle", "{g}"]],
+                         ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+@pytest.mark.parametrize("no_timing", [False, True], ids=["timed", "no-timing"])
+def test_report_skeleton(capsys, k4_file, argv, no_timing):
+    """Every report has the same head and accounting; the worker count is
+    recorded once, not per phase."""
+    extra = ["--threads", "3"] + (["--no-timing"] if no_timing else [])
+    code, report = run_cli(capsys, *[a.format(g=k4_file) for a in argv], *extra)
+    assert code == 0
+    assert report["command"] == argv[0]
+    assert report["graph"] == {"path": k4_file, "vertices": 4, "edges": 6}
+    assert report["workers"] == (None if no_timing else 3)
+    assert (report["elapsed_seconds"] is None) == no_timing
+    for phase in report["phases"]:
+        assert "workers" not in phase
+        assert (phase["seconds"] is None) == no_timing
