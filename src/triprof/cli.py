@@ -1,10 +1,11 @@
 """Command-line entry point: run pipelines and emit machine-readable JSON reports.
 
 ``main`` is the one run skeleton: it checks the worker count, loads the
-graph, lets the command add its keys to the report, then records the worker
-count once and the phases. Every report is fully determined by (input file,
-flags, seed); pass --no-timing to mask the wall-clock fields and the worker
-count so reports can be compared byte for byte across worker counts.
+graph (the ``load`` phase, first in every report), lets the command add its
+keys to the report, then records the worker count once and the phases.
+Every report is fully determined by (input file, flags, seed); pass
+--no-timing to mask the wall-clock fields and the worker count so reports
+can be compared byte for byte across worker counts.
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ def main(argv=None) -> int:
         engine = Engine(args.threads)
         started = time.perf_counter()
         g = load_edge_list(args.graph, vertex_count=args.vertex_count)
+        engine.record("load", time.perf_counter() - started)
         report = {"command": args.command,
                   "graph": {"path": args.graph, "vertices": g.vertex_count,
                             "edges": g.edge_count}}

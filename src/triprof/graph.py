@@ -12,10 +12,22 @@ pairs to edge ordinals by a binary search in the sorted canonical keys, and
 ``pos_to_edge``, the ordinal of every CSR position, is built on first use. No
 triprof computation reads ``pos_to_edge``; ``perfbench/tracing.py`` wraps it
 and tests use it as a reference.
+
+``load_edge_list`` tokenizes the whole text with array operations. A file is
+read straight into one zero-padded byte array. ASCII whitespace is the bytes
+9-13 and 28-32, two unsigned range compares; the wider whitespace characters
+are looked for only among bytes of 0xC2 and above, and only in files that
+have such bytes. One list of the space offsets gives every token's bounds,
+and a running count of the line ends among those spaces gives its line.
+Labels of 1 to 7 ASCII digits, as in SNAP-style files, are keyed by their
+digits, 4 bits each, and their length, which keeps ``7`` and ``07`` apart;
+one value sort of those keys packed with the token index numbers them by
+first appearance. Any other label is keyed by its bytes and argsorted.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -268,33 +280,41 @@ class UndirectedGraph:
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
               "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
               "\u205f\u3000")
-# 1 for each byte value that can be part of a token, 0 for ASCII whitespace.
-_TOKEN_BYTE = np.ones(256, dtype=np.int8)
-_TOKEN_BYTE[[ord(c) for c in WHITESPACE if c.isascii()]] = 0
-# The other whitespace characters encode to 2 or 3 bytes, led by one of four
-# byte values; only where those occur are the following bytes compared.
+# The ASCII ones are the bytes 9-13 and 28-32, two ranges that one unsigned
+# compare each tests. The others encode to 2 or 3 bytes, led by one of four
+# byte values, all at least 0xC2; only where those occur are the following
+# bytes compared.
 _WIDE_SPACES = [c.encode() for c in WHITESPACE if not c.isascii()]
 _WIDE_LEAD = np.zeros(256, dtype=bool)
 _WIDE_LEAD[[b[0] for b in _WIDE_SPACES]] = True
+_WIDE_MIN = min(b[0] for b in _WIDE_SPACES)
 _WIDE_2 = np.array([int.from_bytes(b, "big") for b in _WIDE_SPACES if len(b) == 2])
 _WIDE_3 = np.array([int.from_bytes(b, "big") for b in _WIDE_SPACES if len(b) == 3])
 # Zero bytes kept after the text, so any 8 bytes from a token start can be read.
 _PAD = 8
 _ALL_BITS = np.uint64(2 ** 64 - 1)
+# Longest token that takes the digit keys, and the keys' width: 4 bits for
+# each of its digits under 3 bits for its length.
+_DIGITS = 7
+_DIGIT_KEY_BITS = 4 * _DIGITS + 3
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_DIGIT_HIGH = np.uint64(0x3030303030303030)  # '0'-'9' are 0x30-0x39
+_SIXES = np.uint64(0x0606060606060606)  # a low nibble above 9 carries into the high
+_NIBBLE_PAIRS = ((4, np.uint64(0x00FF00FF00FF00FF)), (8, np.uint64(0x0000FFFF0000FFFF)),
+                 (16, np.uint64(0x00000000FFFFFFFF)))
 
 
 class _Text(NamedTuple):
-    """An edge list as one zero-padded UTF-8 byte array and its line ends.
+    """An edge list as one zero-padded UTF-8 byte array.
 
-    ``breaks`` holds the offset of the byte that ends each line but the
-    last, so a byte's 0-based line is the number of breaks before it.
-    ``bad`` is None, or the number of the first line that is not UTF-8 text
-    paired with the error message for it.
+    Lines end at each LF, CR LF and lone CR. ``ascii`` is true when no byte
+    is 0x80 or above. ``bad`` is None, or the number of the first line
+    that is not UTF-8 text paired with the error message for it.
     """
 
     data: np.ndarray
     size: int
-    breaks: np.ndarray
+    ascii: bool
     bad: tuple[int, str] | None
 
 
@@ -313,7 +333,13 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     ``source`` is a path to a UTF-8 file, a text handle, or an iterable of
     str or bytes lines. Tokens are separated by every character for which
     ``str.isspace()`` holds. The text is tokenized whole with array
-    operations, and each distinct label is decoded once.
+    operations: ASCII whitespace is two byte-range compares, one list of the
+    space bytes gives every token's bounds, and a running count of the line
+    ends among those spaces gives its line. When every label is 1 to 7 ASCII
+    digits, each is keyed by its digits, 4 bits each, and its length, so
+    ``7`` and ``07`` stay apart, and ids come from one sort of those keys
+    packed with the token index; other labels are keyed by their bytes.
+    Each distinct label is decoded once.
     """
     text = _read_path(source) if isinstance(source, (str, Path)) else _read_lines(source)
     pairs, labels = _tokenize(text)
@@ -337,32 +363,37 @@ def _padded(raw: bytes) -> np.ndarray:
 
 
 def _read_path(path) -> _Text:
+    """The file read straight into the padded array; it is decoded only to
+    check it when some byte is not ASCII."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    data = _padded(raw)
-    breaks = _line_breaks(data[:len(raw)])
-    return _Text(data, len(raw), _offsets(breaks, len(raw)), _utf8_error(raw, breaks))
+        size = os.fstat(handle.fileno()).st_size
+        data = np.zeros(size + _PAD, dtype=np.uint8)
+        with memoryview(data) as view:
+            got = 0
+            while got < size and (read := handle.readinto(view[got:size])):
+                got += read
+            rest = handle.read()
+            if got < size or rest:  # not a regular file, or one that changed
+                data = _padded(view[:got].tobytes() + rest)
+                size = got + len(rest)
+    body = data[:size]
+    ascii = bool(body.max(initial=0) < 0x80)
+    return _Text(data, size, ascii, None if ascii else _utf8_error(body))
 
 
-def _line_breaks(data: np.ndarray) -> np.ndarray:
-    """Offsets of every LF and lone CR, and of the CR of every CR LF."""
-    breaks = data == 10
-    carriage = data == 13
-    if carriage.any():
-        breaks[1:] &= ~carriage[:-1]
-        breaks |= carriage
-    return np.flatnonzero(breaks)
+def _break_count(body: np.ndarray) -> int:
+    """Number of line ends in the bytes: every LF and CR, less each CR LF."""
+    crlf = np.count_nonzero((body[:-1] == 13) & (body[1:] == 10)) if body.size else 0
+    return int(np.count_nonzero(body == 10) + np.count_nonzero(body == 13) - crlf)
 
 
-def _utf8_error(raw: bytes, breaks: np.ndarray) -> tuple[int, str] | None:
-    """(line number, message) of the line holding the first byte of raw that
-    is not UTF-8, or None."""
-    if raw.isascii():
-        return None
+def _utf8_error(body: np.ndarray) -> tuple[int, str] | None:
+    """(line number, message) of the line holding the first byte that is not
+    UTF-8, or None."""
     try:
-        raw.decode("utf-8")
+        str(body.data, "utf-8")
     except UnicodeDecodeError as exc:
-        line = int(np.searchsorted(breaks, exc.start)) + 1
+        line = _break_count(body[:exc.start]) + 1
         return line, f"line {line}: not UTF-8 text ({exc.reason})"
     return None
 
@@ -371,7 +402,8 @@ def _read_lines(source) -> _Text:
     """The items of a handle or iterable joined by LF into UTF-8 bytes.
 
     Each item is one line. A str line is encoded as it is (lone surrogates
-    included); a bytes line must be UTF-8 on its own.
+    included); a bytes line must be UTF-8 on its own. The CR and LF bytes
+    inside an item become spaces, so that only the joints end lines.
     """
     lines: list = []
     bad = None
@@ -401,7 +433,11 @@ def _read_lines(source) -> _Text:
             raw = b"\n".join(blobs)
         breaks = _joints(blobs)
         bad = bad or _first_undecodable(lines, raw, breaks)
-    return _Text(_padded(raw), len(raw), _offsets(breaks, len(raw)), bad)
+    data = _padded(raw)
+    body = data[:len(raw)]
+    body[(body == 10) | (body == 13)] = ord(" ")
+    body[breaks] = 10
+    return _Text(data, len(raw), raw.isascii(), bad)
 
 
 def _joints(items: list) -> np.ndarray:
@@ -452,8 +488,7 @@ def _undecodable_line(source, lineno: int) -> int:
     if buffer is None or not buffer.seekable():
         return lineno
     buffer.seek(0)
-    raw = buffer.read()
-    bad = _utf8_error(raw, _line_breaks(np.frombuffer(raw, dtype=np.uint8)))
+    bad = _utf8_error(np.frombuffer(buffer.read(), dtype=np.uint8))
     return lineno if bad is None else bad[0]
 
 
@@ -464,8 +499,7 @@ def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
     tokens (comment lines aside) or is not UTF-8, whichever comes first.
     """
     data, size = text.data, text.size
-    starts, ends = _token_bounds(data, size)
-    line = np.searchsorted(text.breaks, starts)
+    starts, ends, line = _token_spans(data, size, text.ascii)
     first = np.ones(len(starts), dtype=bool)
     np.not_equal(line[1:], line[:-1], out=first[1:])
     comment = first & (data[starts] == ord("#"))
@@ -485,33 +519,79 @@ def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
 
     length = ends - starts
     del ends
-    # key: the first 7 bytes over a low byte min(length, 8), which tells
-    # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
-    keys = _words(data, starts, np.minimum(length, 7))
-    keys |= np.minimum(length, 8).astype(np.uint64)
-    longer = np.flatnonzero(length > 7)
-    if longer.size:
-        keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
-    ids, heads = _first_appearance_ids(keys)
+    keys = _digit_keys(data, starts, length) if len(starts) else None
+    if keys is not None:
+        bits = _DIGIT_KEY_BITS
+    else:
+        # key: the first 7 bytes over a low byte min(length, 8), which tells
+        # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
+        keys = _words(data, starts, np.minimum(length, 7))
+        keys |= np.minimum(length, 8).astype(np.uint64)
+        longer = np.flatnonzero(length > 7)
+        if longer.size:
+            keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
+        bits = 64
+    ids, heads = _first_appearance_ids(keys, bits)
     del keys
     return ids.reshape(-1, 2), _decode_labels(data, starts[heads], length[heads])
 
 
-def _token_bounds(data: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end (exclusive) offsets of the maximal runs of non-space bytes."""
-    token = np.zeros(size + 2, dtype=np.int8)
-    token[1:-1] = _TOKEN_BYTE[data[:size]]
-    lead = np.flatnonzero(_WIDE_LEAD[data[:size]])
-    if lead.size:
+def _token_spans(data: np.ndarray, size: int,
+                 ascii: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end (exclusive) offsets and 0-based line of every maximal
+    run of non-space bytes.
+
+    The offsets of the space bytes, with one more space before the text and
+    one after it, are listed once; a token fills each gap of more than one
+    byte between consecutive spaces. A token's line is the number of line
+    ends among the spaces before it: the LFs, and the CRs that no LF follows.
+    """
+    space = _space_mask(data, size, ascii)
+    at = _offsets(np.flatnonzero(space), size)  # each space's offset plus one
+    del space
+    gap = _offsets(np.flatnonzero(np.diff(at) > 1), size)
+    starts = at[gap]
+    ends = at[gap + 1]
+    ends -= 1
+    byte = data[at - 1]  # the spaces; the one before the text reads a zero pad byte
+    ends_line = byte == 10
+    carriage = byte == 13
+    del byte
+    if carriage.any():
+        carriage &= data[at] != 10
+        ends_line |= carriage
+    del carriage, at
+    line = np.cumsum(ends_line, dtype=starts.dtype)
+    del ends_line
+    return starts, ends, line[gap]
+
+
+def _space_mask(data: np.ndarray, size: int, ascii: bool) -> np.ndarray:
+    """True for every whitespace byte of the text, framed by one True on
+    either side: entry i + 1 is that of byte i."""
+    body = data[:size]
+    space = np.empty(size + 2, dtype=bool)
+    space[0] = space[-1] = True
+    inner = space[1:-1]
+    # unsigned wraparound takes each range to 0-4 and every other byte above 4
+    shifted = np.subtract(body, np.uint8(9))
+    np.less(shifted, 5, out=inner)
+    np.subtract(body, np.uint8(28), out=shifted)
+    hit = shifted.view(bool)
+    np.less(shifted, 5, out=hit)
+    inner |= hit
+    del shifted, hit
+    if not ascii:
+        high = np.flatnonzero(body >= _WIDE_MIN)
+        lead = high[_WIDE_LEAD[body[high]]]
+        del high
         code = ((data[lead].astype(np.int64) << 16) | (data[lead + 1].astype(np.int64) << 8)
                 | data[lead + 2])
         three = np.isin(code, _WIDE_3)
         hit = lead[three | np.isin(code >> 8, _WIDE_2)] + 1
-        token[hit] = token[hit + 1] = 0
-        token[lead[three] + 3] = 0
-    step = np.diff(token)
-    del token
-    return _offsets(np.flatnonzero(step == 1), size), _offsets(np.flatnonzero(step == -1), size)
+        space[hit] = space[hit + 1] = True
+        space[lead[three] + 3] = True
+    return space
 
 
 def _offsets(values: np.ndarray, size: int) -> np.ndarray:
@@ -519,13 +599,15 @@ def _offsets(values: np.ndarray, size: int) -> np.ndarray:
     return values.astype(np.int32) if size + _PAD <= np.iinfo(np.int32).max else values
 
 
+def _word_view(data: np.ndarray, dtype: str) -> np.ndarray:
+    """The 8 bytes at every offset of data, as one unaligned integer each."""
+    return np.ndarray(buffer=data, dtype=dtype, shape=(len(data) - 7,), strides=(1,))
+
+
 def _words(data: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
     """The 8 bytes at each offset as a big-endian uint64, keeping only the
     first nbytes (1 to 8) of them and zeroing the rest."""
-    step = data.strides[0]
-    windows = np.lib.stride_tricks.as_strided(data, shape=(len(data) - 7, 8),
-                                              strides=(step, step))
-    words = windows[offsets].view(">u8").ravel()
+    words = _word_view(data, ">u8")[offsets]
     words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
     mask = nbytes.astype(np.uint64)
     mask *= np.uint64(8)
@@ -533,6 +615,45 @@ def _words(data: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray) -> np.ndar
     np.left_shift(_ALL_BITS, mask, out=mask)
     words &= mask
     return words
+
+
+def _digit_keys(data: np.ndarray, starts: np.ndarray,
+                length: np.ndarray) -> np.ndarray | None:
+    """Keys of _DIGIT_KEY_BITS bits, equal exactly when the tokens are, or
+    None unless every token is 1 to 7 ASCII digits.
+
+    A token's 8 bytes are read little-endian, so its first byte is lowest,
+    and the bytes past its end are masked off. Its digits' low nibbles are
+    packed into 28 bits, first digit lowest, under its length in the top 3
+    bits; the length keeps '7', '07' and '007' apart.
+    """
+    if length.max() > _DIGITS:
+        return None
+    word = _word_view(data, "<u8")[starts]
+    keep = length.astype(np.uint64)
+    keep *= np.uint64(8)
+    np.subtract(np.uint64(64), keep, out=keep)
+    np.right_shift(_ALL_BITS, keep, out=keep)
+    # a digit's byte, and that byte plus 6, both have the high nibble 3;
+    # a byte plus 6 carries into the next byte only when it fails itself
+    off = word + _SIXES
+    off ^= _DIGIT_HIGH
+    word ^= _DIGIT_HIGH
+    off |= word
+    off &= _HIGH_NIBBLES
+    off &= keep
+    if off.any():
+        return None
+    word &= keep  # the digits' low nibbles
+    spare = off
+    for shift, mask in _NIBBLE_PAIRS:
+        np.right_shift(word, np.uint64(shift), out=spare)
+        word |= spare
+        word &= mask
+    spare[:] = length
+    spare <<= np.uint64(4 * _DIGITS)
+    word |= spare
+    return word
 
 
 def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,
@@ -597,20 +718,41 @@ def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return _rank(ra * np.int64(nb) + rb)
 
 
-def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_appearance_ids(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids of equal keys, numbered in order of first appearance, and
-    the index where each id first appears."""
+    the index where each id first appears.
+
+    When a key's ``bits`` and the index's bit length fit in 63 bits, one
+    value sort of the int64 values (key << ibits) | index orders the keys
+    with each run's first index leading it, and overwrites the keys. Wider
+    keys are argsorted, and each run's first index is its minimum.
+    """
     if not len(keys):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order, new = _sort_runs(keys)
-    heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    ibits = len(keys).bit_length()
+    small = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+    if bits + ibits <= 63:
+        packed = keys.view(np.int64)
+        packed <<= ibits
+        packed |= np.arange(len(keys), dtype=small)
+        packed.sort()
+        order = np.empty(len(keys), dtype=small)
+        np.bitwise_and(packed, (1 << ibits) - 1, out=order, casting="unsafe")
+        packed >>= ibits
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(packed[1:], packed[:-1], out=new[1:])
+        del packed
+        heads = order[new]
+    else:
+        order, new = _sort_runs(keys)
+        heads = np.minimum.reduceat(order, np.flatnonzero(new))
     by_first = np.argsort(heads)
-    id_of_run = np.empty(len(heads), dtype=np.int64)
-    id_of_run[by_first] = np.arange(len(heads))
-    run = np.cumsum(new, dtype=np.int32 if len(heads) <= np.iinfo(np.int32).max else np.int64)
+    id_of_run = np.empty(len(heads), dtype=small)
+    id_of_run[by_first] = np.arange(len(heads), dtype=small)
+    run = np.cumsum(new, dtype=small)
     del new
     run -= 1
-    ids = np.empty(len(keys), dtype=np.int64)
+    ids = np.empty(len(keys), dtype=small)
     ids[order] = id_of_run[run]
     return ids, heads[by_first]
 

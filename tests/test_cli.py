@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from triprof import (IntegrityError, ProfileVector, SampleParams, compute_profile,
@@ -63,7 +64,7 @@ class TestProfileCommand:
                                "--seed", "7", "--runs", "3", "--no-timing")
         assert code == 0
         assert [ph["name"] for ph in report["phases"]] == [
-            "sampled-run:7", "sampled-run:8", "sampled-run:9"]
+            "load", "sampled-run:7", "sampled-run:8", "sampled-run:9"]
 
     @pytest.mark.parametrize("extra", [["--compare-exact"], ["--local-tsv", "local.tsv"]])
     def test_exact_and_sampled_share_one_orientation(self, capsys, c5_file, tmp_path,
@@ -352,7 +353,7 @@ class TestEgoCommand:
         assert code == 0
         assert len(orients) == len(steps) == 1
         assert [ph["name"] for ph in report["phases"]] == [
-            "ego:scatter-triangles-cliques", "ego:gather-pivots"]
+            "load", "ego:scatter-triangles-cliques", "ego:gather-pivots"]
 
     def test_table_bytes_pinned(self, capsys, tmp_path):
         path = tmp_path / "labelled.txt"
@@ -443,7 +444,7 @@ class TestPolysCommand:
         assert code == 0
         assert len(report["runs"]) == 3
         assert len(steps) == 1
-        assert [ph["name"] for ph in report["phases"]] == ["polys:triangle-pass"]
+        assert [ph["name"] for ph in report["phases"]] == ["load", "polys:triangle-pass"]
 
     def test_star_beyond_fifty_million_open_wedges(self, capsys, tmp_path):
         # C(10001, 2) = 50_005_000 open wedges, and not one is enumerated
@@ -498,6 +499,47 @@ class TestDeterminism:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    def test_digit_and_general_label_keys_give_the_same_reports(self, capsys, tmp_path,
+                                                                monkeypatch):
+        """Decimal labels take the digit keys and their 'v'-prefixed copies
+        the general keys; both number the vertices alike, so the reports
+        and tables match once the path and the prefix are dropped."""
+        from triprof import graph
+
+        g = chung_lu(300, 1500, 1.8, seed=6)
+        rng = np.random.default_rng(6)
+        names = [str(x) for x in rng.permutation(10 ** 6)[:g.vertex_count]]
+        names[:3] = ["7", "07", "0000007"]  # one value, three labels
+        flip = rng.random(g.edge_count) < 0.5
+        ends = np.where(flip[:, None], np.stack([g.edge_w, g.edge_u], 1),
+                        np.stack([g.edge_u, g.edge_w], 1))[rng.permutation(g.edge_count)]
+        taken, real = [], graph._digit_keys
+
+        def spy(*args):
+            keys = real(*args)
+            taken.append(keys is not None)
+            return keys
+
+        monkeypatch.setattr(graph, "_digit_keys", spy)
+        outputs = []
+        for prefix in ("", "v"):
+            path = tmp_path / f"g{prefix}.txt"
+            path.write_text("".join(f"{prefix}{names[a]} {prefix}{names[b]}\n"
+                                    for a, b in ends.tolist()))
+            tsv = tmp_path / f"ego{prefix}.tsv"
+            reports = []
+            for argv in (["profile"], ["ego", "--random", "50", "--tsv", str(tsv)]):
+                code, report = run_cli(capsys, argv[0], str(path), *argv[1:], "--no-timing")
+                assert code == 0
+                del report["graph"]["path"]
+                report.pop("table_path", None)
+                reports.append(report)
+            rows = tsv.read_text().splitlines()
+            outputs.append((reports, rows[0], [row[len(prefix):] for row in rows[1:]]))
+        assert taken == [True, True, False, False]
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][2]) == 50
+
 
 class TestAccuracyRatio:
     def test_equal_profiles(self):
@@ -545,8 +587,8 @@ def test_no_command_imports_scipy(tmp_path):
                          ids=lambda argv: " ".join(argv[:1] + argv[2:]))
 @pytest.mark.parametrize("no_timing", [False, True], ids=["timed", "no-timing"])
 def test_report_skeleton(capsys, k4_file, argv, no_timing):
-    """Every report has the same head and accounting; the worker count is
-    recorded once, not per phase."""
+    """Every report has the same head and accounting, with the load first
+    among the phases; the worker count is recorded once, not per phase."""
     extra = ["--threads", "3"] + (["--no-timing"] if no_timing else [])
     code, report = run_cli(capsys, *[a.format(g=k4_file) for a in argv], *extra)
     assert code == 0
@@ -554,6 +596,8 @@ def test_report_skeleton(capsys, k4_file, argv, no_timing):
     assert report["graph"] == {"path": k4_file, "vertices": 4, "edges": 6}
     assert report["workers"] == (None if no_timing else 3)
     assert (report["elapsed_seconds"] is None) == no_timing
+    load = report["phases"][0]
+    assert (load["name"], load["bytes_scattered"], load["bytes_gathered"]) == ("load", 0, 0)
     for phase in report["phases"]:
         assert "workers" not in phase
         assert (phase["seconds"] is None) == no_timing

@@ -1,7 +1,10 @@
 """Graph loading, key packing, and induced-subgraph behavior."""
 
 import io
+import os
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +215,107 @@ def test_bytes_lines_not_utf8_match_line_loop(text, data):
     bad = data.draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
     lines[at] = lines[at][:cut] + bad + lines[at][cut:]
     assert_same_parse(lambda: reference_load(lines), lambda: load_edge_list(lines))
+
+
+# -- decimal labels: the digit keys against the line loop ----------------------
+
+DIGIT_LABELS = ["0", "00", "07", "007", "7", "70", "0000000", "9999999", "1234567"]
+digit_label = st.one_of(st.sampled_from(DIGIT_LABELS),
+                        st.text("0123456789", min_size=1, max_size=7))
+ASCII_GAPS = [" ", "\t", "  ", " \t", "\x0b", "\x0c", "\x1c", "\x1f"]
+COMMENTS = ["#", "# 1 2", "#7 8", "# x y z", "#\u00e9t\u00e9 1"]
+# tokens that leave the digit keys: 8 digits, or not only ASCII digits
+NOT_DIGITS = ["12345678", "00000000", "x", "7a", "a7", "#7", "1.5", "-1", "+7", "7\x00",
+              ":", "7?", "/0", "\u0667", "\uff17", "7\u00e9"]
+
+
+@st.composite
+def digit_edge_list_text(draw) -> tuple[str, str | None]:
+    """(text, intruder): an edge list of at least one data line whose labels
+    are 1 to 7 ASCII digits, with comments, blank lines and every line end,
+    and maybe one label swapped for an intruder from NOT_DIGITS."""
+    kinds = draw(st.lists(st.sampled_from(["data", "data", "data", "comment", "blank"]),
+                          min_size=1, max_size=14))
+    kinds[draw(st.integers(0, len(kinds) - 1))] = "data"
+    intruder = draw(st.sampled_from([None] * len(NOT_DIGITS) + NOT_DIGITS))
+    swapped = draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind == "data"]))
+    lines = []
+    for i, kind in enumerate(kinds):
+        if kind == "data":
+            second = intruder if intruder and i == swapped else draw(digit_label)
+            lines.append(draw(st.sampled_from(["", " "])) + draw(digit_label)
+                         + draw(st.sampled_from(ASCII_GAPS)) + second
+                         + draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            lines.append(draw(st.sampled_from(COMMENTS if kind == "comment" else ["", " "])))
+    ends = [draw(st.sampled_from(ENDINGS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), intruder
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_edge_list_text())
+def test_digit_labels_match_line_loop(tmp_path_factory, drawn):
+    """Files of decimal labels take the digit keys, and a file with one other
+    token the general keys; read from a path, a text handle or bytes lines,
+    both give what the line loop gives."""
+    text, intruder = drawn
+    path = tmp_path_factory.getbasetemp() / "digits.txt"
+    path.write_bytes(text.encode("utf-8"))
+    raw_lines = text.encode("utf-8").splitlines(keepends=True)
+
+    def from_file(load):
+        with open(path, encoding="utf-8") as handle:
+            return load(handle)
+
+    taken, real = [], graph._digit_keys
+
+    def spy(*args):
+        keys = real(*args)
+        taken.append(keys is not None)
+        return keys
+
+    with mock.patch.object(graph, "_digit_keys", spy):
+        assert_same_parse(lambda: from_file(reference_load), lambda: load_edge_list(path))
+        assert_same_parse(lambda: from_file(reference_load), lambda: from_file(load_edge_list))
+        assert_same_parse(lambda: reference_load(raw_lines), lambda: load_edge_list(raw_lines))
+    assert taken == [intruder is None] * 3
+
+
+@pytest.mark.parametrize("byte", range(128), ids=lambda b: f"{b:#04x}")
+def test_each_ascii_byte_between_digit_labels(tmp_path, byte):
+    """Read from a file, each ASCII byte separates two digit labels exactly
+    when str.split does and ends a line exactly when the line loop does; this
+    pins both ends of the space ranges 9-13 and 28-32, and NUL as a token byte."""
+    c = chr(byte)
+    path = tmp_path / "g.txt"
+    path.write_bytes(f"12{c}34 56\n78 9{c}0\n".encode())
+
+    def from_file():
+        with open(path, encoding="utf-8") as handle:
+            return reference_load(handle)
+
+    assert_same_parse(from_file, lambda: load_edge_list(path))
+
+
+def test_path_that_is_not_a_regular_file(tmp_path):
+    """A FIFO reports no size, so it is read whole after the sized read."""
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("0 1\n1 2\n2 0\n",), daemon=True)
+    writer.start()
+    g = load_edge_list(fifo)
+    writer.join(timeout=10)
+    assert g.labels == ["0", "1", "2"]
+    assert g.edge_count == 3
+
+
+def test_non_utf8_file_after_every_line_end(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\r\n" * 3 + b"0 1\r" * 2 + b"0 1\n0 \xe9\n")
+    with pytest.raises(ParseError, match="^line 7: not UTF-8"):
+        load_edge_list(path)
 
 
 def test_whitespace_is_what_str_split_splits_on():
