@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Engine, segment_sums
+from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, induced_subgraph
 from .profiles import (Orientation, _lookup, _ragged_steps, _triangle_steps,
@@ -183,7 +183,11 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     p2 = sum of C(t, 2)     = f2 + 3*f3
     p3 = sum of own * t     = 2*f1 + 2*f2
 
-    and the other three entries follow by exact arithmetic.
+    and the other three entries follow by exact arithmetic. With D = d - 1
+    constant over a center's edges, the pivots are polynomials in the two
+    endpoint sums s = sum of t and q = sum of t**2 at the center:
+    p1 = d*C(D, 2) - D*s + (q + s)/2, p2 = (q - s)/2 and p3 = D*s - q
+    (t**2 and t have the same parity, so the halves are exact).
     """
     engine = engine or Engine()
     ids = _dedup_centers(g, centers)
@@ -194,20 +198,18 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
                   bytes_scattered=8 * g.edge_count + 8 * g.vertex_count)
 
     start = time.perf_counter()
-    deg = g.degrees[ids]
-    bounds = np.concatenate([[0], np.cumsum(deg)])
-    pos = np.repeat(g.indptr[ids] - bounds[:-1], deg) + np.arange(bounds[-1])
-    t = tri[g.edge_ids(np.repeat(ids, deg), g.indices[pos])]
-    del pos, tri
-    own = np.repeat(deg, deg) - 1 - t
-    # one pivot term at a time: a (k, 3) stack of all three would triple the
-    # gather's largest temporary
-    sums = np.stack([segment_sums(own * (own - 1) // 2, bounds),
-                     segment_sums(t * (t - 1) // 2, bounds),
-                     segment_sums(own * t, bounds)], axis=1)
+    s = endpoint_sums(g, tri)[ids]
+    np.multiply(tri, tri, out=tri)
+    q = endpoint_sums(g, tri)[ids]
+    del tri
+    d = g.degrees[ids]
+    d1 = d - 1  # D above
+    sums = np.stack([d * (d1 * (d1 - 1) // 2) - d1 * s + (q + s) // 2,
+                     (q - s) // 2,
+                     d1 * s - q], axis=1)
     counts = _solve_pivots(g, ids, sums, f3)
     engine.record("ego:gather-pivots", time.perf_counter() - start,
-                  bytes_gathered=8 * 3 * int(bounds[-1]) + 8 * len(ids))
+                  bytes_gathered=8 * 3 * int(d.sum()) + 8 * len(ids))
     return EgoTable(ids, counts)
 
 

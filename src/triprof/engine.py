@@ -1,7 +1,8 @@
 """Phase accounting shared by every pipeline stage, plus exact per-vertex sums
 of per-edge values.
 
-``endpoint_sums`` accumulates in float64 bincounts over the canonical edges
+``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
+value array per endpoint side, in float64 bincounts over the canonical edges,
 and checks on its result that every sum stayed exact.
 
 Every computation is serial and vectorized. The worker count (``--threads``,
@@ -76,34 +77,25 @@ class Engine:
         return stats
 
 
-def segment_sums(vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Exact sums of the segments vals[bounds[i]:bounds[i + 1]], along axis 0.
-
-    Each segment is reduced in one vectorized pass; empty segments stay zero.
-    """
-    shape = (len(bounds) - 1,) + vals.shape[1:]
-    out = np.zeros(shape, dtype=vals.dtype)
-    nonempty = np.flatnonzero(np.diff(bounds) > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(vals, bounds[nonempty], axis=0)
-    return out
-
-
-def endpoint_sums(g: UndirectedGraph, values: np.ndarray) -> np.ndarray:
-    """Per-vertex int64 sums of a non-negative per-edge array, each edge's
-    value landing on both of its endpoints.
+def endpoint_sums(g: UndirectedGraph, at_u: np.ndarray,
+                  at_w: np.ndarray | None = None) -> np.ndarray:
+    """Per-vertex int64 sums of non-negative per-edge values: edge e adds
+    at_u[e] at its endpoint edge_u[e] and at_w[e] at edge_w[e]; without
+    ``at_w``, at_u lands on both endpoints.
 
     Two weighted bincounts accumulate in float64. No partial sum of
     non-negative addends exceeds its final sum, so a largest sum below
     BINCOUNT_EXACT_LIMIT proves every sum exact; IntegrityError is raised
     when it is not, and on a negative value.
     """
-    if values.size and values.min() < 0:
-        e = int(np.argmax(values < 0))
-        raise IntegrityError(f"negative value {values[e]} on edge {e} in an endpoint sum")
+    at_w = at_u if at_w is None else at_w
+    if at_u.size and min(at_u.min(), at_w.min()) < 0:
+        e = int(np.argmax((at_u < 0) | (at_w < 0)))
+        value = at_u[e] if at_u[e] < 0 else at_w[e]
+        raise IntegrityError(f"negative value {value} on edge {e} in an endpoint sum")
     n = g.vertex_count
-    out = np.bincount(g.edge_u, weights=values, minlength=n)
-    out += np.bincount(g.edge_w, weights=values, minlength=n)
+    out = np.bincount(g.edge_u, weights=at_u, minlength=n)
+    out += np.bincount(g.edge_w, weights=at_w, minlength=n)
     if out.size and out.max() >= BINCOUNT_EXACT_LIMIT:
         v = int(np.argmax(out))
         raise IntegrityError(f"endpoint sum at vertex {g.label_of(v)} (id {v}) reaches "

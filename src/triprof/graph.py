@@ -1,4 +1,4 @@
-"""Immutable undirected graph in CSR form with sorted neighbor lists.
+"""Immutable undirected graph: degrees and canonical edges, adjacency on demand.
 
 Vertices are dense integers in [0, vertex_count). Graphs loaded from edge-list
 text keep the original labels so per-vertex output can be written back in the
@@ -7,11 +7,14 @@ source vocabulary; a vertex with no stored label, such as one added by
 orientation (u < w) and a stable index in [0, edge_count), which every
 per-edge phase keys on.
 
-A graph stores only its CSR and its canonical edges. ``edge_ids`` maps vertex
-pairs to edge ordinals by a binary search in the sorted canonical keys, and
-``pos_to_edge``, the ordinal of every CSR position, is built on first use. No
-triprof computation reads ``pos_to_edge``; ``perfbench/tracing.py`` wraps it
-and tests use it as a reference.
+A graph stores its degrees and its canonical edges; every triprof command
+reads nothing else. The CSR (``indptr`` and ``indices``, sorted neighbor
+lists) is built on first use, and so is ``pos_to_edge``, the ordinal of
+every CSR position. Only the reference paths read them: ``neighbors``,
+``has_edge``, ``induced_subgraph`` (through ``ego_serial``), ``pos_to_edge``
+and ``sparse_adjacency``. Labels read from text are kept as their UTF-8
+bytes joined by LF and decoded when first read, so a command that writes no
+label never builds them.
 
 ``load_edge_list`` tokenizes the whole text with array operations. A file is
 read straight into one zero-padded byte array. ASCII whitespace is the bytes
@@ -19,15 +22,17 @@ read straight into one zero-padded byte array. ASCII whitespace is the bytes
 are looked for only among bytes of 0xC2 and above, and only in files that
 have such bytes. One list of the space offsets gives every token's bounds,
 and a running count of the line ends among those spaces gives its line.
-Labels of 1 to 7 ASCII digits, as in SNAP-style files, are keyed by their
-digits, 4 bits each, and their length, which keeps ``7`` and ``07`` apart;
-one value sort of those keys packed with the token index numbers them by
-first appearance. Any other label is keyed by its bytes and argsorted.
+A label of L = 1 to 7 ASCII digits, as in SNAP-style files, is keyed by its
+value plus (10**L - 1) // 9, which maps the digit strings one to one onto
+1 to 11 111 110 and so keeps ``7``, ``07`` and ``007`` apart; one table
+indexed by key numbers them by first appearance. Any other label is keyed
+by its bytes and argsorted.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -47,42 +52,41 @@ def check_key_packing(n: int) -> None:
 
 
 class UndirectedGraph:
-    """Simple undirected graph: symmetric sorted adjacency, no loops, no duplicates.
+    """Simple undirected graph: no loops, no duplicates, sorted canonical edges.
 
     Instances are immutable after construction and safe to share across
-    parallel readers. Construct via :meth:`from_edges` or :func:`load_edge_list`.
+    parallel readers; a lazy cache (the CSR, ``pos_to_edge``, the decoded
+    labels) may be filled by more than one of them, with equal values.
+    Construct via :meth:`from_edges` or :func:`load_edge_list`.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 edge_u: np.ndarray, edge_w: np.ndarray,
-                 labels: list[str] | None = None):
-        self._indptr = indptr
-        self._indices = indices
-        self._labels = labels
-        self._label_index: dict[str, int] | None = None
-        self._degrees = np.diff(indptr)
+    def __init__(self, degrees: np.ndarray, edge_u: np.ndarray, edge_w: np.ndarray,
+                 labels: list[str] | _LabelText | None = None):
+        self._degrees = degrees
         # canonical edges (u < w), ordered lexicographically by (u, w)
         self._edge_u = edge_u
         self._edge_w = edge_w
+        self._labels = labels  # a _LabelText is decoded into a list when first read
+        self._label_index: dict[str, int] | None = None
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
         self._pos_to_edge = None
         self._csr = None
-        for arr in (self._indptr, self._indices, self._degrees,
-                    self._edge_u, self._edge_w):
+        for arr in (self._degrees, self._edge_u, self._edge_w):
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_edges(cls, pairs, vertex_count: int | None = None,
-                   labels: list[str] | None = None) -> "UndirectedGraph":
+                   labels: list[str] | _LabelText | None = None) -> "UndirectedGraph":
         """Build from (u, w) integer pairs; drops self-loops and duplicate/reversed edges.
 
         ``labels`` name the first len(labels) vertices; every later vertex is
         labeled by its decimal id when asked for.
 
         Edges are deduplicated by sorting their packed keys lo*n + hi, which
-        also orders the canonical edges, and the CSR is laid out by sorting
-        the packed keys of both directions, row*n + col.
+        also orders the canonical edges; the degrees are two bincounts of
+        their endpoints.
         """
         a = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                        dtype=np.int64).reshape(-1, 2)
@@ -108,21 +112,16 @@ class UndirectedGraph:
         keys = _sorted_distinct(keys[lo != hi])
         del lo, hi
         edge_u, edge_w = np.divmod(keys, width)
-        both = np.concatenate([keys, edge_w * width + edge_u])
         del keys
-        both.sort()
-        indices = both % width
-        del both
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_u, minlength=n) + np.bincount(edge_w, minlength=n),
-                  out=indptr[1:])
-        return cls(indptr, indices, edge_u, edge_w, labels)
+        degrees = np.bincount(edge_u, minlength=n)
+        degrees += np.bincount(edge_w, minlength=n)
+        return cls(degrees, edge_u, edge_w, labels)
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._indptr) - 1
+        return len(self._degrees)
 
     @property
     def edge_count(self) -> int:
@@ -136,14 +135,6 @@ class UndirectedGraph:
         return int(self._degrees[v])
 
     @property
-    def indptr(self) -> np.ndarray:
-        return self._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._indices
-
-    @property
     def edge_u(self) -> np.ndarray:
         return self._edge_u
 
@@ -151,20 +142,24 @@ class UndirectedGraph:
     def edge_w(self) -> np.ndarray:
         return self._edge_w
 
-    @property
+    @cached_property
     def labels(self) -> list[str] | None:
-        """The stored labels of the first len(labels) vertices, or None."""
+        """The stored labels of the first len(labels) vertices, or None.
+        Labels kept as joined bytes are decoded on the first read; cached,
+        so that ``label_of`` reads a plain attribute after that."""
+        if isinstance(self._labels, _LabelText):
+            self._labels = self._labels.decode()
         return self._labels
 
     def label_of(self, v: int) -> str:
-        labels = self._labels
+        labels = self.labels
         return labels[v] if labels is not None and v < len(labels) else str(v)
 
     def id_of_label(self, label: str) -> int:
         """Dense id for a source label: a stored label first, else the
         decimal id of a vertex with no stored label."""
         if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self._labels or ())}
+            self._label_index = {lab: i for i, lab in enumerate(self.labels or ())}
         v = self._label_index.get(label)
         if v is not None:
             return v
@@ -172,53 +167,74 @@ class UndirectedGraph:
             v = int(label)
         except ValueError:
             v = -1
-        if str(v) != label or not len(self._labels or ()) <= v < self.vertex_count:
+        if str(v) != label or not len(self.labels or ()) <= v < self.vertex_count:
             raise UsageError(f"unknown vertex label {label!r}")
         return v
 
+    # -- adjacency (lazy, cached; only reference paths read it) ---------------
+
+    def _both_keys(self) -> np.ndarray:
+        """Packed keys row*n + col of both directions of every edge: the
+        canonical edges' first, then their reverses'."""
+        check_key_packing(self.vertex_count)
+        n = np.int64(self.vertex_count)
+        u, w = self._edge_u, self._edge_w
+        return np.concatenate([u * n + w, w * n + u])
+
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the sorted adjacency, from one sort of both
+        directions' keys, built on first use."""
+        if self._adjacency is None:
+            keys = self._both_keys()
+            keys.sort()
+            indices = keys % np.int64(max(self.vertex_count, 1))
+            del keys
+            indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
+            np.cumsum(self._degrees, out=indptr[1:])
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._adjacency = indptr, indices
+        return self._adjacency
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr_arrays()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr_arrays()[1]
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view)."""
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        indptr, indices = self._csr_arrays()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, w: int) -> bool:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, w)
         return i < len(nb) and nb[i] == w
 
-    # -- derived structures (lazy, cached) -----------------------------------
-
     @property
     def pos_to_edge(self) -> np.ndarray:
         """Edge ordinal for every CSR position (both directions of each edge);
         the positions with col > row are the canonical edges in order.
 
-        No triprof computation reads it. ``perfbench/tracing.py`` wraps this
-        property and its ``_pos_to_edge`` cache slot, and tests use it as a
-        reference.
+        The CSR positions are the sorted order of both directions' keys, and
+        the key at i or i + |E| is that of edge i, so one argsort of those
+        keys gives the ordinals. No triprof computation reads it.
+        ``perfbench/tracing.py`` wraps this property and its ``_pos_to_edge``
+        cache slot, and tests use it as a reference.
         """
         if self._pos_to_edge is None:
-            rows = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self._degrees)
-            lower = self._indices < rows
-            out = np.empty(len(self._indices), dtype=np.int64)
-            out[~lower] = np.arange(self.edge_count, dtype=np.int64)
-            out[lower] = self.edge_ids(rows[lower], self._indices[lower])
+            out = np.argsort(self._both_keys())
+            out %= max(self.edge_count, 1)
             out.setflags(write=False)
             self._pos_to_edge = out
         return self._pos_to_edge
 
-    def edge_ids(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Ordinal of each edge {u[i], w[i]}, its endpoints in either order.
-
-        Each pair's canonical key min*n + max is looked up in the sorted
-        canonical edge keys; every pair must be an edge of the graph.
-        """
-        check_key_packing(self.vertex_count)
-        n = np.int64(self.vertex_count)
-        keys = np.minimum(u, w) * n + np.maximum(u, w)
-        return np.searchsorted(self._edge_u * n + self._edge_w, keys)
-
     def sparse_adjacency(self):
-        """Boolean adjacency as a scipy CSR matrix with int32 data (cached).
+        """Boolean adjacency as a scipy CSR matrix with int32 data (cached),
+        built from the lazy CSR.
 
         No triprof computation uses it; ``perfbench/tracing.py`` still calls it.
         """
@@ -226,9 +242,10 @@ class UndirectedGraph:
             import scipy.sparse as sp
 
             n = self.vertex_count
+            indptr, indices = self._csr_arrays()
             self._csr = sp.csr_matrix(
-                (np.ones(len(self._indices), dtype=np.int32),
-                 self._indices.astype(np.int32), self._indptr.astype(np.int64)),
+                (np.ones(len(indices), dtype=np.int32),
+                 indices.astype(np.int32), indptr.astype(np.int64)),
                 shape=(n, n))
         return self._csr
 
@@ -293,15 +310,17 @@ _WIDE_3 = np.array([int.from_bytes(b, "big") for b in _WIDE_SPACES if len(b) == 
 # Zero bytes kept after the text, so any 8 bytes from a token start can be read.
 _PAD = 8
 _ALL_BITS = np.uint64(2 ** 64 - 1)
-# Longest token that takes the digit keys, and the keys' width: 4 bits for
-# each of its digits under 3 bits for its length.
+# Longest token that takes the decimal keys. A token's 8 bytes, read
+# little-endian, are shifted so that its digits fill the top bytes; three
+# multiply-add stages then fold the bytes into pairs, quads and the whole.
 _DIGITS = 7
-_DIGIT_KEY_BITS = 4 * _DIGITS + 3
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _DIGIT_HIGH = np.uint64(0x3030303030303030)  # '0'-'9' are 0x30-0x39
 _SIXES = np.uint64(0x0606060606060606)  # a low nibble above 9 carries into the high
-_NIBBLE_PAIRS = ((4, np.uint64(0x00FF00FF00FF00FF)), (8, np.uint64(0x0000FFFF0000FFFF)),
-                 (16, np.uint64(0x00000000FFFFFFFF)))
+_ONES = np.uint64(0x0101010101010101)
+_FOLDS = ((np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+          (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+          (np.uint64(10000 << 32 | 1), np.uint64(32), np.uint64(0x00000000FFFFFFFF)))
 
 
 class _Text(NamedTuple):
@@ -336,10 +355,11 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     operations: ASCII whitespace is two byte-range compares, one list of the
     space bytes gives every token's bounds, and a running count of the line
     ends among those spaces gives its line. When every label is 1 to 7 ASCII
-    digits, each is keyed by its digits, 4 bits each, and its length, so
-    ``7`` and ``07`` stay apart, and ids come from one sort of those keys
-    packed with the token index; other labels are keyed by their bytes.
-    Each distinct label is decoded once.
+    digits, each is keyed by its value plus (10**L - 1) // 9 for its L
+    digits, so ``7`` and ``07`` stay apart, and ids come from one table
+    indexed by key; other labels are keyed by their bytes and argsorted.
+    The distinct labels are kept as their joined bytes and decoded when the
+    graph's labels are first read.
     """
     text = _read_path(source) if isinstance(source, (str, Path)) else _read_lines(source)
     pairs, labels = _tokenize(text)
@@ -348,10 +368,12 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
         raise UsageError(
             f"--vertex-count {vertex_count} is below the {seen} labels in the input")
     n = seen if vertex_count is None else int(vertex_count)
-    for x in labels if n > seen else ():  # padding vertex v is labeled str(v)
-        if x.isdecimal() and seen <= int(x) < n and str(int(x)) == x:
-            raise UsageError(f"input label {x!r} is also the label of padding vertex {x} "
-                             f"(--vertex-count {n} adds ids {seen} to {n - 1})")
+    if n > seen:  # padding vertex v is labeled str(v)
+        labels = labels.decode()
+        for x in labels:
+            if x.isdecimal() and seen <= int(x) < n and str(int(x)) == x:
+                raise UsageError(f"input label {x!r} is also the label of padding vertex {x} "
+                                 f"(--vertex-count {n} adds ids {seen} to {n - 1})")
     check_key_packing(n)
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
 
@@ -492,8 +514,8 @@ def _undecodable_line(source, lineno: int) -> int:
     return lineno if bad is None else bad[0]
 
 
-def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
-    """(label id pairs, labels in id order) of the text's data lines.
+def _tokenize(text: _Text) -> tuple[np.ndarray, _LabelText]:
+    """(label id pairs, labels in id order, still joined) of the text's data lines.
 
     Raises the ParseError of the first line that holds neither 0 nor 2
     tokens (comment lines aside) or is not UTF-8, whichever comes first.
@@ -519,9 +541,9 @@ def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
 
     length = ends - starts
     del ends
-    keys = _digit_keys(data, starts, length) if len(starts) else None
+    keys = _decimal_keys(data, starts, length) if len(starts) else None
     if keys is not None:
-        bits = _DIGIT_KEY_BITS
+        ids, heads = _table_ids(keys)
     else:
         # key: the first 7 bytes over a low byte min(length, 8), which tells
         # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
@@ -530,10 +552,9 @@ def _tokenize(text: _Text) -> tuple[np.ndarray, list[str]]:
         longer = np.flatnonzero(length > 7)
         if longer.size:
             keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
-        bits = 64
-    ids, heads = _first_appearance_ids(keys, bits)
+        ids, heads = _first_appearance_ids(keys)
     del keys
-    return ids.reshape(-1, 2), _decode_labels(data, starts[heads], length[heads])
+    return ids.reshape(-1, 2), _joined_labels(data, starts[heads], length[heads])
 
 
 def _token_spans(data: np.ndarray, size: int,
@@ -617,43 +638,44 @@ def _words(data: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray) -> np.ndar
     return words
 
 
-def _digit_keys(data: np.ndarray, starts: np.ndarray,
-                length: np.ndarray) -> np.ndarray | None:
-    """Keys of _DIGIT_KEY_BITS bits, equal exactly when the tokens are, or
-    None unless every token is 1 to 7 ASCII digits.
+def _decimal_keys(data: np.ndarray, starts: np.ndarray,
+                  length: np.ndarray) -> np.ndarray | None:
+    """int64 keys value + (10**L - 1) // 9 of tokens of L = 1 to 7 ASCII
+    digits, or None unless every token is one.
 
-    A token's 8 bytes are read little-endian, so its first byte is lowest,
-    and the bytes past its end are masked off. Its digits' low nibbles are
-    packed into 28 bits, first digit lowest, under its length in the top 3
-    bits; the length keeps '7', '07' and '007' apart.
+    The key is a one-to-one map of the digit strings onto 1 to 11 111 110:
+    the strings of L digits take the 10**L keys after those of fewer digits,
+    so '7', '07' and '007' stay apart. A token's 8 bytes are read
+    little-endian, its first byte lowest, and shifted left so that its L
+    bytes fill the top of the word and zeros the rest. Each digit is then
+    replaced by itself plus 1 and the bytes are folded as decimal digits, so
+    the L ones added come to (10**L - 1) // 9.
     """
     if length.max() > _DIGITS:
         return None
     word = _word_view(data, "<u8")[starts]
-    keep = length.astype(np.uint64)
-    keep *= np.uint64(8)
-    np.subtract(np.uint64(64), keep, out=keep)
-    np.right_shift(_ALL_BITS, keep, out=keep)
-    # a digit's byte, and that byte plus 6, both have the high nibble 3;
-    # a byte plus 6 carries into the next byte only when it fails itself
+    word ^= _DIGIT_HIGH  # a digit's byte becomes its value
+    shift = length.astype(np.uint64)
+    shift *= np.uint64(8)
+    np.subtract(np.uint64(64), shift, out=shift)
+    word <<= shift  # the bytes past the token leave the word
+    # every byte is now a digit's value, 0-9, exactly when its high nibble
+    # is 0 and adding 6 carries nothing into it; a byte plus 6 carries into
+    # the next byte only when it fails itself
     off = word + _SIXES
-    off ^= _DIGIT_HIGH
-    word ^= _DIGIT_HIGH
     off |= word
     off &= _HIGH_NIBBLES
-    off &= keep
     if off.any():
         return None
-    word &= keep  # the digits' low nibbles
-    spare = off
-    for shift, mask in _NIBBLE_PAIRS:
-        np.right_shift(word, np.uint64(shift), out=spare)
-        word |= spare
+    del off
+    np.left_shift(_ONES, shift, out=shift)
+    word += shift
+    del shift
+    for scale, bits, mask in _FOLDS:
+        word *= scale
+        word >>= bits
         word &= mask
-    spare[:] = length
-    spare <<= np.uint64(4 * _DIGITS)
-    word |= spare
-    return word
+    return word.view(np.int64)
 
 
 def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,
@@ -718,34 +740,42 @@ def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return _rank(ra * np.int64(nb) + rb)
 
 
-def _first_appearance_ids(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _index_dtype(count: int):
+    """int32 when every index below ``count`` fits it, else int64."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+
+
+def _table_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of equal keys, numbered in order of first appearance, and
+    the index where each id first appears, for small non-negative keys.
+
+    One zero-initialised table of max(keys) + 1 entries is indexed by key;
+    its pages that no key touches are never written. Each key's entry takes
+    the largest N - index, so its first index, for the N keys. The indices
+    whose entry matches are the heads, in order of first appearance; their
+    entries are then overwritten with their ids, which every key reads back.
+    """
+    small = _index_dtype(len(keys))
+    table = np.zeros(int(keys.max()) + 1, dtype=small)
+    first = np.arange(len(keys), 0, -1, dtype=small)  # N - index
+    np.maximum.at(table, keys, first)
+    heads = np.flatnonzero(table[keys] == first)
+    del first
+    table[keys[heads]] = np.arange(len(heads), dtype=small)
+    return table[keys], heads
+
+
+def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids of equal keys, numbered in order of first appearance, and
     the index where each id first appears.
 
-    When a key's ``bits`` and the index's bit length fit in 63 bits, one
-    value sort of the int64 values (key << ibits) | index orders the keys
-    with each run's first index leading it, and overwrites the keys. Wider
-    keys are argsorted, and each run's first index is its minimum.
+    The keys are argsorted, and each run's first index is its minimum.
     """
     if not len(keys):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ibits = len(keys).bit_length()
-    small = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
-    if bits + ibits <= 63:
-        packed = keys.view(np.int64)
-        packed <<= ibits
-        packed |= np.arange(len(keys), dtype=small)
-        packed.sort()
-        order = np.empty(len(keys), dtype=small)
-        np.bitwise_and(packed, (1 << ibits) - 1, out=order, casting="unsafe")
-        packed >>= ibits
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(packed[1:], packed[:-1], out=new[1:])
-        del packed
-        heads = order[new]
-    else:
-        order, new = _sort_runs(keys)
-        heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    small = _index_dtype(len(keys))
+    order, new = _sort_runs(keys)
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))
     by_first = np.argsort(heads)
     id_of_run = np.empty(len(heads), dtype=small)
     id_of_run[by_first] = np.arange(len(heads), dtype=small)
@@ -757,17 +787,38 @@ def _first_appearance_ids(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.n
     return ids, heads[by_first]
 
 
-def _decode_labels(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> list[str]:
-    """The tokens at (starts, length) as str, decoded from one joined buffer."""
+class _LabelText:
+    """Labels as their UTF-8 bytes joined by LF, split and decoded into a
+    list of str by ``decode``."""
+
+    __slots__ = ("text", "count")
+
+    def __init__(self, text: bytes, count: int):
+        self.text = text
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def decode(self) -> list[str]:
+        return self.text.decode("utf-8", "surrogatepass").split("\n") if self.count else []
+
+
+def _joined_labels(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> _LabelText:
+    """The tokens at (starts, length), joined by LF into one bytes object.
+
+    Each token is copied with the byte after it, a space or a pad byte,
+    which then becomes the LF.
+    """
     if not len(starts):
-        return []
-    total = int(length.sum())
-    owner = np.repeat(np.arange(len(starts)), length)
-    body = np.arange(total) + owner  # each label byte's place, after one LF per label before
-    out = np.full(total + len(starts) - 1, ord("\n"), dtype=np.uint8)
-    at = np.cumsum(length + 1) - length - 1  # where each label begins in out
-    out[body] = data[body + (starts - at)[owner]]
-    return out.tobytes().decode("utf-8", "surrogatepass").split("\n")
+        return _LabelText(b"", 0)
+    span = length + 1
+    ends = np.cumsum(span, dtype=span.dtype)  # where each copy ends in the output
+    at = np.repeat(starts - (ends - span), span)
+    at += np.arange(len(at), dtype=at.dtype)
+    out = data[at]
+    out[ends - 1] = ord("\n")
+    return _LabelText(out[:-1].tobytes(), len(starts))
 
 
 def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:

@@ -21,13 +21,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Engine, endpoint_sums, segment_sums
+from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, check_key_packing
 
 # Sibling pairs checked per step of the triangle enumeration. Each step holds
 # a few int64 arrays of this length, whatever the largest degree is.
 PAIR_BUDGET = 2 ** 20
+
+# Value bits of an int64. A value sort packs a value and its index into one
+# int64 where both fit in these bits.
+PACKED_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,39 @@ def orient(g: UndirectedGraph) -> Orientation:
     and pass it along when one command enumerates the same graph again."""
     n = g.vertex_count
     check_key_packing(n)
+    deg = g.degrees
+    _, by_degree = _value_sort(deg, int(deg.max(initial=0)).bit_length())
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
+    rank[by_degree] = np.arange(n, dtype=np.int64)
+    del by_degree
     ru, rw = rank[g.edge_u], rank[g.edge_w]
     keys = np.minimum(ru, rw) * np.int64(n) + np.maximum(ru, rw)
-    order = np.argsort(keys)
-    keys = keys[order]
+    del ru, rw
+    keys, order = _value_sort(keys, max(n * n - 1, 0).bit_length())
     src, dst = np.divmod(keys, n)
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
     return Orientation(n, rank, order, keys, src, dst, out_ptr)
+
+
+def _value_sort(values: np.ndarray, vbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-negative int64 ``values`` (below 2**vbits) sorted, and the
+    stable permutation that sorts them.
+
+    Where vbits and the bit length of the value count fit in PACKED_BITS,
+    one value sort of (value << ibits) | index gives both; otherwise a
+    stable argsort does.
+    """
+    ibits = len(values).bit_length()
+    if vbits + ibits > PACKED_BITS:
+        order = np.argsort(values, kind="stable")
+        return values[order], order
+    packed = values << ibits
+    packed |= np.arange(len(values))
+    packed.sort()
+    order = packed & ((1 << ibits) - 1)
+    packed >>= ibits
+    return packed, order
 
 
 def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,12 +200,13 @@ def _packed_order(query: np.ndarray, qbits: int) -> np.ndarray:
     value sort of the packed int64 values (query << ibits) | index, where
     ibits is the bit length of the query count.
 
-    When qbits + ibits exceed 63, each query is shifted right first, so the
-    order is by the query's high bits and then by index. The callers look up
-    each query itself, so only their sweep's locality depends on the order.
+    When qbits + ibits exceed PACKED_BITS, each query is shifted right
+    first, so the order is by the query's high bits and then by index. The
+    callers look up each query itself, so only their sweep's locality
+    depends on the order.
     """
     ibits = len(query).bit_length()
-    packed = query >> max(qbits + ibits - 63, 0)
+    packed = query >> max(qbits + ibits - PACKED_BITS, 0)
     packed <<= ibits
     packed |= np.arange(len(query))
     packed.sort()
@@ -312,8 +340,9 @@ def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
     local counts.
 
     One endpoint sum gives n3, halved because each triangle at v is seen from
-    both of its edges at v. One CSR segment sum gives nd, the sum of v's
-    neighbors' degrees. The rest is closed form in d = d(v): each edge
+    both of its edges at v. A second gives nd, the sum of v's neighbors'
+    degrees: each edge adds deg[edge_w] at edge_u and deg[edge_u] at edge_w.
+    The rest is closed form in d = d(v): each edge
     {v, w} has d(w) - 1 - tri wedges with v as an endpoint, so
     n2_e = nd - d - 2*n3; n2_c = C(d, 2) - n3 (each centered wedge is seen
     from both of its edges) and n1_e = d*(n - 1 - d) - n2_e.
@@ -323,7 +352,7 @@ def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
     n3 = _halved(endpoint_sums(g, tri), "triangle", g)
-    n2_e = segment_sums(deg[g.indices], g.indptr) - deg - 2 * n3
+    n2_e = endpoint_sums(g, deg[g.edge_w], deg[g.edge_u]) - deg - 2 * n3
     n2_c = deg * (deg - 1) // 2 - n3
     n1_e = deg * (n - 1 - deg) - n2_e
     n1_d = m - deg - n3 - n2_e

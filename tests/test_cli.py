@@ -501,7 +501,7 @@ class TestDeterminism:
 
     def test_digit_and_general_label_keys_give_the_same_reports(self, capsys, tmp_path,
                                                                 monkeypatch):
-        """Decimal labels take the digit keys and their 'v'-prefixed copies
+        """Decimal labels take the decimal keys and their 'v'-prefixed copies
         the general keys; both number the vertices alike, so the reports
         and tables match once the path and the prefix are dropped."""
         from triprof import graph
@@ -513,14 +513,14 @@ class TestDeterminism:
         flip = rng.random(g.edge_count) < 0.5
         ends = np.where(flip[:, None], np.stack([g.edge_w, g.edge_u], 1),
                         np.stack([g.edge_u, g.edge_w], 1))[rng.permutation(g.edge_count)]
-        taken, real = [], graph._digit_keys
+        taken, real = [], graph._decimal_keys
 
         def spy(*args):
             keys = real(*args)
             taken.append(keys is not None)
             return keys
 
-        monkeypatch.setattr(graph, "_digit_keys", spy)
+        monkeypatch.setattr(graph, "_decimal_keys", spy)
         outputs = []
         for prefix in ("", "v"):
             path = tmp_path / f"g{prefix}.txt"
@@ -539,6 +539,69 @@ class TestDeterminism:
         assert taken == [True, True, False, False]
         assert outputs[0] == outputs[1]
         assert len(outputs[0][2]) == 50
+
+
+class TestLoadsOnlyWhatItReads:
+    """No command builds the CSR, and only the commands that write labels
+    decode them."""
+
+    TEXT = "hub a\nhub b\nhub c\nhub d\na b\nb c\nc a\nd caf\u00e9\nx y\n"
+
+    @pytest.fixture
+    def labelled(self, tmp_path):
+        path = tmp_path / "labelled.txt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        """The graphs the CLI loads, in order."""
+        from triprof import cli
+
+        graphs = []
+
+        def load(*args, **kwargs):
+            graphs.append(load_edge_list(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "load_edge_list", load)
+        return graphs
+
+    @pytest.mark.parametrize("argv", [
+        ["profile"], ["profile", "--p", "0.3", "--runs", "3"],
+        ["profile", "--p", "0.3", "--runs", "3", "--compare-exact"],
+        ["profile", "--local-tsv", "{tmp}/local.tsv"],
+        ["ego", "--random", "4", "--tsv", "{tmp}/ego.tsv"], ["ego", "--all"],
+        ["polys", "--p", "0.5", "--runs", "3"],
+        ["sparsifier-check", "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_no_command_builds_the_csr(self, capsys, labelled, tmp_path, monkeypatch,
+                                       argv):
+        from triprof.graph import UndirectedGraph
+
+        def forbidden(self):
+            raise AssertionError("a command built the CSR")
+
+        monkeypatch.setattr(UndirectedGraph, "_csr_arrays", forbidden)
+        code, _ = run_cli(capsys, argv[0], labelled,
+                          *[a.format(tmp=tmp_path) for a in argv[1:]], "--out",
+                          str(tmp_path / "report.json"))
+        assert code == 0
+
+    @pytest.mark.parametrize("argv, decoded", [
+        (["profile"], False), (["profile", "--p", "0.3", "--runs", "3"], False),
+        (["polys", "--p", "0.5", "--runs", "3"], False),
+        (["sparsifier-check", "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"], False),
+        (["profile", "--local-tsv", "{tmp}/local.tsv"], True), (["ego", "--all"], True),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_labels_decoded_only_when_written(self, capsys, labelled, tmp_path, loaded,
+                                              argv, decoded):
+        code, _ = run_cli(capsys, argv[0], labelled,
+                          *[a.format(tmp=tmp_path) for a in argv[1:]], "--no-timing")
+        assert code == 0
+        (g,) = loaded
+        assert isinstance(g._labels, list) == decoded
+        assert g.labels == ["hub", "a", "b", "c", "d", "caf\u00e9", "x", "y"]
 
 
 class TestAccuracyRatio:

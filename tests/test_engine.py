@@ -5,10 +5,18 @@ import pytest
 
 from triprof import (Engine, IntegrityError, UsageError, compute_profile, ego_parallel,
                      engine)
-from triprof.engine import endpoint_sums, segment_sums
+from triprof.engine import endpoint_sums
 from triprof.profiles import edge_triangle_counts
 
 from conftest import chung_lu, complete_graph, er_graph, star_graph
+
+
+def segment_sums(vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Reference: exact sums of the segments vals[bounds[i]:bounds[i + 1]], along axis 0."""
+    out = np.zeros((len(bounds) - 1,) + vals.shape[1:], dtype=vals.dtype)
+    for i in range(len(bounds) - 1):
+        out[i] = vals[bounds[i]:bounds[i + 1]].sum(axis=0)
+    return out
 
 
 def test_triangle_count_per_edge_over_k4(k4):
@@ -42,6 +50,16 @@ def test_bincount_and_segment_routes_agree(build):
     sums = endpoint_sums(g, values)
     assert sums.dtype == np.int64
     assert np.array_equal(sums, segment_sums(values[g.pos_to_edge], g.indptr))
+    # two sides: each side's values land only on that side's endpoint, so a
+    # neighbor-degree sum is the CSR segment sum of the neighbors' degrees
+    at_w = rng.integers(0, 1 << 20, g.edge_count)
+    rows = np.repeat(np.arange(g.vertex_count), g.degrees)
+    e = g.pos_to_edge
+    at_row = np.where(g.edge_u[e] == rows, values[e], at_w[e])
+    assert np.array_equal(endpoint_sums(g, values, at_w), segment_sums(at_row, g.indptr))
+    deg = g.degrees
+    assert np.array_equal(endpoint_sums(g, deg[g.edge_w], deg[g.edge_u]),
+                          segment_sums(deg[g.indices], g.indptr))
 
 
 def test_endpoint_sums_reject_negative_values(c5):
@@ -49,6 +67,16 @@ def test_endpoint_sums_reject_negative_values(c5):
     values[3] = -2
     with pytest.raises(IntegrityError, match="negative value -2 on edge 3"):
         endpoint_sums(c5, values)
+
+
+@pytest.mark.parametrize("side", ["u", "w"])
+def test_two_sided_sums_reject_a_negative_value_on_either_side(c5, side):
+    at_u = np.ones(c5.edge_count, dtype=np.int64)
+    at_w = np.ones(c5.edge_count, dtype=np.int64)
+    (at_u if side == "u" else at_w)[2] = -5
+    (at_w if side == "u" else at_u)[4] = -1  # a later edge: the first one is named
+    with pytest.raises(IntegrityError, match="^negative value -5 on edge 2 in an endpoint sum$"):
+        endpoint_sums(c5, at_u, at_w)
 
 
 def test_endpoint_sums_check_exactness_limit(c5, monkeypatch):
@@ -59,6 +87,18 @@ def test_endpoint_sums_check_exactness_limit(c5, monkeypatch):
     monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", top)
     with pytest.raises(IntegrityError, match=f"reaches {top},"):
         endpoint_sums(c5, values)
+
+
+def test_two_sided_sums_check_exactness_limit(c5, monkeypatch):
+    at_u = np.arange(c5.edge_count, dtype=np.int64)
+    at_w = 10 * at_u
+    top = int(endpoint_sums(c5, at_u, at_w).max())
+    assert top > int(endpoint_sums(c5, at_u).max())
+    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", top + 1)
+    assert endpoint_sums(c5, at_u, at_w).max() == top
+    monkeypatch.setattr(engine, "BINCOUNT_EXACT_LIMIT", top)
+    with pytest.raises(IntegrityError, match=f"reaches {top},"):
+        endpoint_sums(c5, at_u, at_w)
 
 
 def test_reduce_vector_records(c5):

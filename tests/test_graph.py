@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triprof import (ParseError, UndirectedGraph, UsageError, graph, induced_subgraph,
@@ -85,8 +85,8 @@ class TestLoadEdgeList:
         assert g.labels == ["a", "b", "c"]
         assert g.label_of(999_999) == "999999"
         assert g.id_of_label("999999") == 999_999
-        # the arrays (indptr and degrees) hold 16 MB; a str per padding
-        # vertex would add more than 50 MB
+        # the degrees hold 8 MB; a str per padding vertex would add more
+        # than 50 MB
         assert held < 24 * 2 ** 20, held
 
     def test_override_below_seen_rejected(self):
@@ -135,7 +135,8 @@ def reference_load(lines) -> UndirectedGraph:
 
 
 def assert_same_parse(expect, got) -> None:
-    """Both calls give the same CSR and labels, or the same ParseError message."""
+    """Both calls give the same ids (canonical edges and degrees), labels and
+    CSR, or the same ParseError message."""
     try:
         want = expect()
     except ParseError as exc:
@@ -145,6 +146,9 @@ def assert_same_parse(expect, got) -> None:
         return
     g = got()
     assert g.labels == want.labels
+    assert np.array_equal(g.edge_u, want.edge_u)
+    assert np.array_equal(g.edge_w, want.edge_w)
+    assert np.array_equal(g.degrees, want.degrees)
     assert np.array_equal(g.indptr, want.indptr)
     assert np.array_equal(g.indices, want.indices)
 
@@ -217,14 +221,15 @@ def test_bytes_lines_not_utf8_match_line_loop(text, data):
     assert_same_parse(lambda: reference_load(lines), lambda: load_edge_list(lines))
 
 
-# -- decimal labels: the digit keys against the line loop ----------------------
+# -- decimal labels: the decimal keys against the line loop --------------------
 
-DIGIT_LABELS = ["0", "00", "07", "007", "7", "70", "0000000", "9999999", "1234567"]
+DIGIT_LABELS = ["0", "00", "07", "007", "7", "70", "0000000", "9999999", "9999998",
+                "1000000", "0999999", "1234567"]
 digit_label = st.one_of(st.sampled_from(DIGIT_LABELS),
                         st.text("0123456789", min_size=1, max_size=7))
 ASCII_GAPS = [" ", "\t", "  ", " \t", "\x0b", "\x0c", "\x1c", "\x1f"]
 COMMENTS = ["#", "# 1 2", "#7 8", "# x y z", "#\u00e9t\u00e9 1"]
-# tokens that leave the digit keys: 8 digits, or not only ASCII digits
+# tokens that leave the decimal keys: 8 digits, or not only ASCII digits
 NOT_DIGITS = ["12345678", "00000000", "x", "7a", "a7", "#7", "1.5", "-1", "+7", "7\x00",
               ":", "7?", "/0", "\u0667", "\uff17", "7\u00e9"]
 
@@ -256,10 +261,14 @@ def digit_edge_list_text(draw) -> tuple[str, str | None]:
 
 @settings(max_examples=200, deadline=None)
 @given(digit_edge_list_text())
+@example(("0 00\n007 7\n07 0000000\n7 0\n", None))  # one value, five labels
+@example(("9999999 9999998\n", None))  # a tiny file whose keys are near the table's top
+@example(("9999999 1\n1000000 9999999\r\n#x\n\n0999999 9999998", None))
+@example(("0 7\n007 12345678\n", "12345678"))  # an 8-digit intruder
 def test_digit_labels_match_line_loop(tmp_path_factory, drawn):
-    """Files of decimal labels take the digit keys, and a file with one other
-    token the general keys; read from a path, a text handle or bytes lines,
-    both give what the line loop gives."""
+    """Files of decimal labels take the decimal keys, and a file with one
+    other token the general keys; read from a path, a text handle or bytes
+    lines, both give what the line loop gives."""
     text, intruder = drawn
     path = tmp_path_factory.getbasetemp() / "digits.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -269,18 +278,32 @@ def test_digit_labels_match_line_loop(tmp_path_factory, drawn):
         with open(path, encoding="utf-8") as handle:
             return load(handle)
 
-    taken, real = [], graph._digit_keys
+    taken, real = [], graph._decimal_keys
 
     def spy(*args):
         keys = real(*args)
         taken.append(keys is not None)
         return keys
 
-    with mock.patch.object(graph, "_digit_keys", spy):
+    with mock.patch.object(graph, "_decimal_keys", spy):
         assert_same_parse(lambda: from_file(reference_load), lambda: load_edge_list(path))
         assert_same_parse(lambda: from_file(reference_load), lambda: from_file(load_edge_list))
         assert_same_parse(lambda: reference_load(raw_lines), lambda: load_edge_list(raw_lines))
     assert taken == [intruder is None] * 3
+
+
+@pytest.mark.parametrize("text", [
+    b"1 2\n2 3 4\n", b"0 00\n007\n", b"9999999 9999998\r1\r\n", b"1 2\n# 3\n7 \xe9\n",
+    b"1 2\n12345678 3 4\n"])
+def test_decimal_label_errors_match_line_loop(tmp_path, text):
+    """A file of decimal labels with a wrong token count or a line that is
+    not UTF-8 fails on the line, and with the message, of the line loop."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text)
+    lines = text.splitlines(keepends=True)
+    assert_same_parse(lambda: reference_load(lines), lambda: load_edge_list(path))
+    with pytest.raises(ParseError):
+        load_edge_list(path)
 
 
 @pytest.mark.parametrize("byte", range(128), ids=lambda b: f"{b:#04x}")
@@ -290,13 +313,18 @@ def test_each_ascii_byte_between_digit_labels(tmp_path, byte):
     pins both ends of the space ranges 9-13 and 28-32, and NUL as a token byte."""
     c = chr(byte)
     path = tmp_path / "g.txt"
-    path.write_bytes(f"12{c}34 56\n78 9{c}0\n".encode())
+    # the second file also has labels that differ only in leading zeros, the
+    # largest 7-digit label, and a 7-digit label that the byte, when it is
+    # a digit, makes 8 digits long
+    for text in (f"12{c}34 56\n78 9{c}0\n",
+                 f"12{c}34 0\n00 9{c}0\n007 7\n9999999 7{c}\n9{c}999999 07\n"):
+        path.write_bytes(text.encode())
 
-    def from_file():
-        with open(path, encoding="utf-8") as handle:
-            return reference_load(handle)
+        def from_file():
+            with open(path, encoding="utf-8") as handle:
+                return reference_load(handle)
 
-    assert_same_parse(from_file, lambda: load_edge_list(path))
+        assert_same_parse(from_file, lambda: load_edge_list(path))
 
 
 def test_path_that_is_not_a_regular_file(tmp_path):
@@ -402,9 +430,9 @@ class TestStructure:
         for g in (k4, c5, star3):
             assert np.all(g.edge_u < g.edge_w)
             assert np.all(np.diff(g.edge_u * g.vertex_count + g.edge_w) > 0)
-            ordinals = np.arange(g.edge_count)
-            assert np.array_equal(g.edge_ids(g.edge_u, g.edge_w), ordinals)
-            assert np.array_equal(g.edge_ids(g.edge_w, g.edge_u), ordinals)
+            rows = np.repeat(np.arange(g.vertex_count), g.degrees)
+            upper = g.indices > rows
+            assert np.array_equal(g.pos_to_edge[upper], np.arange(g.edge_count))
 
     def test_round_trip(self):
         g = load_edge_list(io.StringIO("b a\nc b\na c\nd a\n"))
@@ -417,11 +445,16 @@ class TestStructure:
         counts = np.bincount(c5.pos_to_edge, minlength=c5.edge_count)
         assert np.all(counts == 2)
 
-    def test_stores_only_csr_and_canonical_edges(self):
+    def test_stores_only_degrees_and_canonical_edges(self):
         g = UndirectedGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], vertex_count=6)
         arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
         n, m = g.vertex_count, g.edge_count
-        assert sum(a.nbytes for a in arrays) == 8 * (2 * n + 1 + 4 * m)
+        assert sum(a.nbytes for a in arrays) == 8 * (n + 2 * m)
+        assert g._adjacency is None and g._pos_to_edge is None
+        # the CSR is built on first use, once
+        assert np.array_equal(g.indptr, [0, 2, 4, 7, 8, 8, 8])
+        assert np.array_equal(g.indices, [1, 2, 0, 2, 0, 1, 3, 2])
+        assert g._csr_arrays() is g._csr_arrays()
 
 
 class TestInducedSubgraph:
@@ -454,18 +487,12 @@ class TestInducedSubgraph:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60),
        st.integers(0, 5))
-def test_edge_ids_and_pos_to_edge_match_canonical_pairs(pairs, isolated):
+def test_pos_to_edge_matches_canonical_pairs(pairs, isolated):
     n = 1 + max((max(pair) for pair in pairs), default=0) + isolated
     g = UndirectedGraph.from_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2),
                                    vertex_count=n)
     canonical = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
-    ordinal = {pair: i for i, pair in enumerate(canonical)}
-    expect = np.array([ordinal[min(a, b), max(a, b)] for a, b in pairs if a != b],
-                      dtype=np.int64)
-    u, w = (np.array([pair[i] for pair in pairs if pair[0] != pair[1]], dtype=np.int64)
-            for i in (0, 1))
-    assert np.array_equal(g.edge_ids(u, w), expect)
-    assert np.array_equal(g.edge_ids(w, u), expect)
+    assert list(zip(g.edge_u.tolist(), g.edge_w.tolist())) == canonical
     rows = np.repeat(np.arange(n), g.degrees)
     ends = np.sort(np.stack([rows, g.indices], axis=1), axis=1)
     assert np.array_equal(g.edge_u[g.pos_to_edge], ends[:, 0])

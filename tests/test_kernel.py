@@ -125,6 +125,29 @@ def test_packed_order_sorts_by_the_kept_query_bits(qbits):
         assert np.array_equal(query[s], np.sort(query))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_orientation_same_on_both_sides_of_the_packing_check(name, monkeypatch):
+    """orient ranks the vertices and orders the keys with one value sort of
+    (value << ibits) | index where that fits in PACKED_BITS, else with a
+    stable argsort; both sides give the same Orientation."""
+    g = CASES[name]
+    real, packed = profiles._value_sort, []
+
+    def spy(values, vbits):
+        packed.append(vbits + len(values).bit_length() <= profiles.PACKED_BITS)
+        return real(values, vbits)
+
+    monkeypatch.setattr(profiles, "_value_sort", spy)
+    by_value = profiles.orient(g)
+    monkeypatch.setattr(profiles, "PACKED_BITS", -1)  # nothing fits, even no bits
+    by_argsort = profiles.orient(g)
+    assert packed == [True, True, False, False]
+    for field, a, b in zip(profiles.Orientation._fields, by_value, by_argsort):
+        assert np.array_equal(a, b), field
+    n = g.vertex_count
+    assert np.array_equal(by_value.rank[np.lexsort((np.arange(n), g.degrees))], np.arange(n))
+
+
 @pytest.mark.parametrize("budget", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ego_matches_brute_force(name, budget, monkeypatch):
