@@ -8,6 +8,12 @@ feasibility conditions, and ships brute-force oracles that verify every count
 at desk scale.
 """
 
+import os
+
+# triprof calls no BLAS routine, and OpenBLAS's idle threads spin on every
+# core; one thread, unless the caller chose otherwise, before numpy loads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ego import EgoProfile, EgoTable, ego_parallel, ego_serial
 from .engine import Engine, PhaseStats
 from .errors import IntegrityError, ParseError, UsageError

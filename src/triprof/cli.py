@@ -88,8 +88,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--vertex-count", type=_non_negative, default=None,
                        help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
-                       help="engine worker count, recorded once per report; every "
-                            "computation is serial (default: TRIPROF_THREADS or all cores)")
+                       help="engine workers that share the triangle enumeration's "
+                            "steps, recorded once per report (default: TRIPROF_THREADS or "
+                            "the CPUs this process may use)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
                        help="mask wall-clock fields and the worker count for byte-stable reports")
@@ -283,7 +284,7 @@ def _cmd_polys(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     seeds = [(args.seed + i) % 2 ** 64 for i in range(args.runs)]
     masks = (sampling.sample_mask(g, sampling.SampleParams(args.p, seed)) for seed in seeds)
     start = time.perf_counter()
-    terms = theory.census_terms(g, masks)
+    terms = theory.census_terms(g, masks, engine)
     engine.record("polys:triangle-pass", time.perf_counter() - start)
     report["p"] = args.p
     report["runs"] = [{"seed": seed, "values": values.as_json(),

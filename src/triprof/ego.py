@@ -101,11 +101,11 @@ def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> Ego
     return EgoTable(ids, counts)
 
 
-def _triangles_and_four_cliques(g: UndirectedGraph,
-                                centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
+                                engine: Engine) -> tuple[np.ndarray, np.ndarray]:
     """Triangles on each edge (by edge id) and the 4-cliques at each of the
     ``centers`` (vertex ids), from one orientation and one triangle
-    enumeration.
+    enumeration on ``engine``'s workers.
 
     Each step's triangles are counted on their three edges, as in
     edge_triangle_counts. A triangle a < b < c (in rank order) is extended by
@@ -131,9 +131,9 @@ def _triangles_and_four_cliques(g: UndirectedGraph,
     center_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(o.src[to_center], minlength=n), out=center_ptr[1:])
     del to_center
-    hits = np.zeros(m, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    for i, j, k in _triangle_steps(o):
+
+    def extend(acc, i, j, k):
+        hits, count = acc
         hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
         a, b, c = o.src[i], o.dst[i], o.dst[j]
         del i, j, k
@@ -143,7 +143,8 @@ def _triangles_and_four_cliques(g: UndirectedGraph,
         np.logical_not(touched, out=touched)
         for _, d in _extensions(o, a, b, c, touched, center_ptr, heads):
             count += np.bincount(d, minlength=n)
-        del a, b, c, touched
+
+    hits, count = _triangle_steps(o, engine, [m, n], extend)
     tri = np.empty(m, dtype=np.int64)
     tri[o.order] = hits
     return tri, count[o.rank[centers]]
@@ -193,7 +194,7 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     ids = _dedup_centers(g, centers)
 
     start = time.perf_counter()
-    tri, f3 = _triangles_and_four_cliques(g, ids)
+    tri, f3 = _triangles_and_four_cliques(g, ids, engine)
     engine.record("ego:scatter-triangles-cliques", time.perf_counter() - start,
                   bytes_scattered=8 * g.edge_count + 8 * g.vertex_count)
 

@@ -321,6 +321,9 @@ _ONES = np.uint64(0x0101010101010101)
 _FOLDS = ((np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
           (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
           (np.uint64(10000 << 32 | 1), np.uint64(32), np.uint64(0x00000000FFFFFFFF)))
+# Tokens _decimal_keys checks first, so that most files of other labels are
+# refused at the cost of these few rather than of every token.
+_PROBE = 4096
 
 
 class _Text(NamedTuple):
@@ -653,6 +656,28 @@ def _decimal_keys(data: np.ndarray, starts: np.ndarray,
     """
     if length.max() > _DIGITS:
         return None
+    if len(starts) > _PROBE and _digit_words(data, starts[:_PROBE], length[:_PROBE]) is None:
+        return None  # refused on a first look, before the word work on every token
+    digits = _digit_words(data, starts, length)
+    if digits is None:
+        return None
+    word, shift = digits
+    np.left_shift(_ONES, shift, out=shift)
+    word += shift
+    del shift
+    for scale, bits, mask in _FOLDS:
+        word *= scale
+        word >>= bits
+        word &= mask
+    return word.view(np.int64)
+
+
+def _digit_words(data: np.ndarray, starts: np.ndarray,
+                 length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each token's 8 bytes, read little-endian, with each digit's byte
+    turned into its value and shifted left by 64 - 8L bits, so that its L
+    bytes fill the top of the word; and those shifts. None unless every
+    token is L = 1 to 7 ASCII digits (``length`` is at most 7)."""
     word = _word_view(data, "<u8")[starts]
     word ^= _DIGIT_HIGH  # a digit's byte becomes its value
     shift = length.astype(np.uint64)
@@ -665,17 +690,7 @@ def _decimal_keys(data: np.ndarray, starts: np.ndarray,
     off = word + _SIXES
     off |= word
     off &= _HIGH_NIBBLES
-    if off.any():
-        return None
-    del off
-    np.left_shift(_ONES, shift, out=shift)
-    word += shift
-    del shift
-    for scale, bits, mask in _FOLDS:
-        word *= scale
-        word >>= bits
-        word &= mask
-    return word.view(np.int64)
+    return None if off.any() else (word, shift)
 
 
 def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,

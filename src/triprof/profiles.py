@@ -16,18 +16,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Engine, endpoint_sums
+from .engine import BINCOUNT_EXACT_LIMIT, Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, check_key_packing
 
-# Sibling pairs checked per step of the triangle enumeration. Each step holds
-# a few int64 arrays of this length, whatever the largest degree is.
-PAIR_BUDGET = 2 ** 20
+# Sibling pairs checked per step of the triangle enumeration. Every step but
+# the last holds exactly this many, so the engine's workers get equal steps,
+# and each holds a few int64 arrays of this length whatever the largest degree
+# is. 2**18 pairs is 2 MiB per array: the clustered benchmark graph's 2.3M
+# pairs make 9 steps, the skewed one's 2.66M make 11.
+PAIR_BUDGET = 2 ** 18
 
 # Value bits of an int64. A value sort packs a value and its index into one
 # int64 where both fit in these bits.
@@ -164,10 +166,17 @@ def _ragged_steps(lengths: np.ndarray, budget: int):
     bounded however long a single range is. Only the prefix sums of the
     lengths are kept, and no step is held once it is handed out.
     """
-    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
+    bounds = _bounds(lengths)
     total = int(bounds[-1])
     return (_ragged_step(bounds, lo, min(lo + budget, total)) for lo in range(0, total, budget))
+
+
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    """Prefix sums of the lengths, from 0: item i holds the entries
+    bounds[i] <= e < bounds[i + 1]."""
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
 
 
 def _ragged_step(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,16 +189,10 @@ def _ragged_step(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.n
     return item, np.arange(lo, hi) - bounds[item]
 
 
-def _sibling_pairs(ptr: np.ndarray, owner: np.ndarray):
-    """Iterate over (p, q) position arrays for every p < q that share a
-    segment ptr[r]:ptr[r + 1], where owner[p] is p's segment, PAIR_BUDGET
-    pairs a step."""
-    later = ptr[owner + 1] - np.arange(1, len(owner) + 1)
-    return map(_pair_positions, _ragged_steps(later, PAIR_BUDGET))
-
-
-def _pair_positions(step: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    p, q = step
+def _pair_positions(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (p, q) of the sibling pairs lo <= e < hi, where position p
+    is paired with its bounds[p + 1] - bounds[p] later siblings in turn."""
+    p, q = _ragged_step(bounds, lo, hi)
     q += p  # offsets become positions in place: a step holds two arrays, not three
     q += 1
     return p, q
@@ -214,20 +217,31 @@ def _packed_order(query: np.ndarray, qbits: int) -> np.ndarray:
     return packed
 
 
-def _triangle_steps(o: Orientation):
-    """Iterate over the sorted positions (i, j, k) of the edges a->b, a->c and
-    b->c of every triangle with ranks a < b < c, one array triple per step.
+def _triangle_steps(o: Orientation, engine: Engine, shapes, consume) -> list[np.ndarray]:
+    """The int64 sums, over every step, of what ``consume(acc, i, j, k)``
+    adds into ``acc`` (zero arrays of the given ``shapes``) for the step's
+    triangles, given as the sorted positions i, j, k of their edges a->b,
+    a->c and b->c, ranks a < b < c.
 
     This is compact-forward enumeration: a triangle is found exactly once, as
-    the sibling pair (b, c) in a's out-list closed by the edge b -> c. Each
-    step's closing-edge queries are sorted first, so that the binary searches
-    sweep the keys forward instead of probing them at random.
-
-    The steps are mapped rather than generated: a generator's frame would
-    hold the step's sibling pairs while the consumer works on its triangles.
+    the sibling pair (b, c) in a's out-list closed by the edge b -> c. The
+    sibling pairs are numbered in position order and cut into steps of
+    PAIR_BUDGET pairs, the last step excepted; ``engine.sum_steps`` shares
+    them among its workers. Each step builds its own pairs and sorts their
+    closing-edge queries, so that the binary searches sweep the keys forward
+    instead of probing them at random; its pairs are freed before
+    ``consume`` works on its triangles.
     """
+    bounds = _bounds(o.out_ptr[o.src + 1] - np.arange(1, len(o.src) + 1))
+    total, budget = int(bounds[-1]), PAIR_BUDGET
     qbits = (o.n * o.n - 1).bit_length()  # of the largest key, n**2 - 1
-    return map(partial(_closing_edges, o, qbits), _sibling_pairs(o.out_ptr, o.src))
+
+    def add_step(acc: list[np.ndarray], s: int) -> None:
+        lo = s * budget
+        consume(acc, *_closing_edges(o, qbits, _pair_positions(bounds, lo,
+                                                               min(lo + budget, total))))
+
+    return engine.sum_steps(-(-total // budget), shapes, add_step)
 
 
 def _closing_edges(o: Orientation, qbits: int,
@@ -252,23 +266,25 @@ def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,
 
     Every triangle of the compact-forward enumeration is counted on its three
     edges. The work is the number of sibling pairs, the sum of C(d+(v), 2)
-    over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked at most
-    PAIR_BUDGET at a time, so a hub's out-list is split across steps and the
-    temporaries stay bounded. The kernel is serial; ``engine`` is not used.
-    ``orientation`` is ``orient(g)``, built here when not given.
+    over out-degrees d+(v) <= sqrt(2|E|). Pairs are checked PAIR_BUDGET at a
+    time, so a hub's out-list is split across steps and the temporaries stay
+    bounded; the steps run on ``engine``'s workers. ``orientation`` is
+    ``orient(g)``, built here when not given.
     """
     m = g.edge_count
     o = orient(g) if orientation is None else orientation
-    hits = np.zeros(m, dtype=np.int64)
-    for i, j, k in _triangle_steps(o):
-        hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
-        del i, j, k  # not held while the next step is found
+
+    def count(acc, i, j, k):
+        acc[0] += np.bincount(np.concatenate([i, j, k]), minlength=m)
+
+    hits, = _triangle_steps(o, engine or Engine(), [m], count)
     tri = np.empty(m, dtype=np.int64)
     tri[o.order] = hits
     return tri
 
 
-def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
+def masked_profile(o: Orientation, mask: np.ndarray,
+                   engine: Engine | None = None) -> ProfileVector:
     """Exact global profile of the graph that keeps the edges in ``mask`` (one
     entry per edge id) on all o.n vertices, counted on a masked view of the
     full graph's orientation ``o`` without building that graph.
@@ -289,11 +305,12 @@ def masked_profile(o: Orientation, mask: np.ndarray) -> ProfileVector:
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(out_deg, out=out_ptr[1:])
     view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, out_ptr)
-    n3 = 0
-    for i, j, k in _triangle_steps(view):
-        n3 += len(k)
-        del i, j, k  # not held while the next step is found
-    return _profile_from_degrees(out_deg + np.bincount(dst, minlength=n), len(kept), n3)
+
+    def count(acc, i, j, k):
+        acc[0] += len(k)
+
+    n3, = _triangle_steps(view, engine or Engine(), [()], count)
+    return _profile_from_degrees(out_deg + np.bincount(dst, minlength=n), len(kept), int(n3))
 
 
 def _profile_from_degrees(deg: np.ndarray, m: int, n3: int) -> ProfileVector:
@@ -326,12 +343,35 @@ def scatter_edge_scalars(g: UndirectedGraph, engine: Engine | None = None,
 
 
 def _halved(sums: np.ndarray, what: str, g: UndirectedGraph) -> np.ndarray:
-    odd = np.flatnonzero(sums % 2)
+    """Half of each of the non-negative ``sums``; IntegrityError on an odd one."""
+    odd = np.flatnonzero(sums & 1)
     if odd.size:
         v = int(odd[0])
         raise IntegrityError(
             f"odd {what} sum at vertex {g.label_of(v)} (id {v}): {int(sums[v])}")
-    return sums // 2
+    return sums >> 1
+
+
+def _triangle_and_degree_sums(g: UndirectedGraph,
+                              tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex v, the sum of ``tri`` over v's edges and nd, the sum of
+    v's neighbors' degrees (each edge adds deg[edge_w] at edge_u and
+    deg[edge_u] at edge_w).
+
+    Both come from one endpoint sum where they fit: each edge adds its far
+    end's degree shifted left by b bits, plus its triangles. A triangle sum
+    is at most d_max * max(tri) < 2**b and nd at most 2|E|, so when
+    (2|E| + 1) << b stays within exact float64 sums, the low b bits of each
+    sum are the triangle sum and the rest is nd. Otherwise, or with a
+    negative triangle count, two endpoint sums are taken.
+    """
+    deg = g.degrees
+    b = (int(deg.max(initial=0)) * int(tri.max(initial=0))).bit_length()
+    if tri.min(initial=0) >= 0 and (2 * g.edge_count + 1) << b <= BINCOUNT_EXACT_LIMIT:
+        far = deg << b
+        sums = endpoint_sums(g, far[g.edge_w] + tri, far[g.edge_u] + tri)
+        return sums & ((1 << b) - 1), sums >> b
+    return endpoint_sums(g, tri), endpoint_sums(g, deg[g.edge_w], deg[g.edge_u])
 
 
 def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
@@ -339,9 +379,9 @@ def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
     """Turn the per-edge triangle counts ``tri`` and the degrees into the six
     local counts.
 
-    One endpoint sum gives n3, halved because each triangle at v is seen from
-    both of its edges at v. A second gives nd, the sum of v's neighbors'
-    degrees: each edge adds deg[edge_w] at edge_u and deg[edge_u] at edge_w.
+    The endpoint sum of the triangle counts gives n3, halved because each
+    triangle at v is seen from both of its edges at v; nd, the sum of v's
+    neighbors' degrees, comes from the same sums (``_triangle_and_degree_sums``).
     The rest is closed form in d = d(v): each edge
     {v, w} has d(w) - 1 - tri wedges with v as an endpoint, so
     n2_e = nd - d - 2*n3; n2_c = C(d, 2) - n3 (each centered wedge is seen
@@ -351,9 +391,10 @@ def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
     start = time.perf_counter()
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
-    n3 = _halved(endpoint_sums(g, tri), "triangle", g)
-    n2_e = endpoint_sums(g, deg[g.edge_w], deg[g.edge_u]) - deg - 2 * n3
-    n2_c = deg * (deg - 1) // 2 - n3
+    twice_n3, nd = _triangle_and_degree_sums(g, tri)
+    n3 = _halved(twice_n3, "triangle", g)
+    n2_e = nd - deg - twice_n3
+    n2_c = (deg * (deg - 1) >> 1) - n3
     n1_e = deg * (n - 1 - deg) - n2_e
     n1_d = m - deg - n3 - n2_e
     bad = np.flatnonzero(n1_d < 0)

@@ -72,7 +72,7 @@ def subgraph_from_mask(g: UndirectedGraph, mask: np.ndarray) -> UndirectedGraph:
         raise UsageError(f"mask has {len(mask)} entries for {g.edge_count} edges")
     pairs = np.stack([g.edge_u[mask], g.edge_w[mask]], axis=1)
     return UndirectedGraph.from_edges(pairs, vertex_count=g.vertex_count,
-                                      labels=g.labels)
+                                      labels=g._labels)
 
 
 def _transition_rows(p: Fraction) -> list[list[Fraction]]:
@@ -134,7 +134,8 @@ def estimate_profile(g: UndirectedGraph, params: SampleParams, engine: Engine | 
     engine = engine or Engine()
     start = time.perf_counter()
     mask = sample_mask(g, params)
-    sampled = masked_profile(orient(g) if orientation is None else orientation, mask)
+    sampled = masked_profile(orient(g) if orientation is None else orientation, mask,
+                             engine)
     estimate = unbiased_estimate(sampled, params.p)
     kept = int(np.count_nonzero(mask))
     engine.record(f"sampled-run:{params.seed}", time.perf_counter() - start,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import Engine
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
 from .profiles import (ProfileVector, _exact_sum, _profile_from_degrees, _triangle_steps,
@@ -104,19 +105,21 @@ class TermTables:
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
-def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = ()) -> TermTables:
+def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = (),
+                 engine: Engine | None = None) -> TermTables:
     """The graph's profile and the polynomials of every mask, from one pass
     over the shared oriented triangle enumeration that stores no triangle.
 
     Bit r of byte b of an edge holds mask 8*b + r. Each step bincounts its
     triangles on their edges, for the check of ``_edge_weights``, and, per
     byte, the byte values that mark the masks keeping at least one, two and
-    three of a triangle's edges, read out per bit through ``_BITS``. Memory
-    is O(|V| + |E| * masks / 8) plus one PAIR_BUDGET step.
+    three of a triangle's edges, read out per bit through ``_BITS``. The
+    steps run on ``engine``'s workers. Memory is O(|V| + |E| * masks / 8)
+    plus, per worker, one PAIR_BUDGET step and its own triangle and
+    histogram counts.
     """
     m = g.edge_count
     o = orient(g)  # built before the masks are drawn: a lower peak RSS, as measured
-    hits = np.zeros(m, dtype=np.int64)
     packed, slots = [], []  # (byte, bit) of each mask
     for t in masks:
         if len(t) != m:
@@ -125,8 +128,9 @@ def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = ()) -> TermTa
         packed += [np.zeros(m, dtype=np.uint8)] if bit == 0 else []
         packed[b] |= np.asarray(t, dtype=bool).view(np.uint8) << bit
         slots.append((b, bit))
-    hist = np.zeros((len(packed), 3, 256), dtype=np.int64)
-    for i, j, k in _triangle_steps(o):
+
+    def classify(acc, i, j, k):
+        hits, hist = acc
         for x in (i, j, k):
             np.take(o.order, x, out=x)  # sorted positions become edge ids in place
             hits += np.bincount(x, minlength=m)
@@ -135,7 +139,8 @@ def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = ()) -> TermTa
             h[0] += np.bincount(a | b | c, minlength=256)
             h[1] += np.bincount((a & b) | (c & (a | b)), minlength=256)
             h[2] += np.bincount(a & b & c, minlength=256)
-        del i, j, k  # not held while the next step is found
+
+    hits, hist = _triangle_steps(o, engine or Engine(), [m, (len(packed), 3, 256)], classify)
     _edge_weights(g, hits)  # raises IntegrityError on a negative weight
     profile = _profile_from_degrees(g.degrees, m, _exact_sum(hits) // 3)
     at_least = hist @ _BITS  # [byte, at least 1/2/3 kept edges, bit]

@@ -337,9 +337,9 @@ class TestEgoCommand:
             orients.append(g)
             return real_orient(g)
 
-        def counted_steps(o):
+        def counted_steps(o, *rest):
             steps.append(o)
-            return real_steps(o)
+            return real_steps(o, *rest)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("ego must not scatter per-edge scalars")
@@ -434,9 +434,9 @@ class TestPolysCommand:
         steps = []
         real_steps = theory._triangle_steps
 
-        def counted_steps(o):
+        def counted_steps(o, *rest):
             steps.append(o)
-            return real_steps(o)
+            return real_steps(o, *rest)
 
         monkeypatch.setattr(theory, "_triangle_steps", counted_steps)
         code, report = run_cli(capsys, "polys", c5_file, "--p", "0.5", "--runs", "3",
@@ -489,6 +489,28 @@ class TestDeterminism:
             for v in serial)
         assert len(tables[0].splitlines()) == 1 + int((g.degrees > 0).sum())
         assert tables[0] == tables[1] == expected.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["polys", "--p", "0.5", "--seed", "3", "--runs", "10"],
+        ["sparsifier-check", "--p", "0.5", "--epsilon", "0.1", "--gamma", "1"]],
+        ids=["polys", "sparsifier-check"])
+    def test_pass_reports_identical_across_worker_counts(self, capsys, tmp_path, monkeypatch,
+                                                         argv):
+        """With steps of 7 pairs, two workers share many steps of the one
+        triangle pass, and the reports match one worker's byte for byte."""
+        from triprof import engine, profiles
+
+        graph = tmp_path / "skewed.txt"
+        chung_lu(200, 1200, 1.6, seed=5).write_edge_list(graph)
+        monkeypatch.setattr(profiles, "PAIR_BUDGET", 7)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        reports = []
+        for workers in ("1", "2"):
+            assert main([argv[0], str(graph), *argv[1:], "--no-timing",
+                         "--threads", workers]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["command"] == argv[0]
 
     def test_ego_reports_identical_across_worker_counts(self, capsys, k4_file):
         reports = []

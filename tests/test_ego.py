@@ -120,8 +120,8 @@ class TestIntegrityChecks:
         g = load_edge_list(io.StringIO("x y\ny z\nz x\nz w\n"))  # triangle x y z, tail z w
         real = ego._triangles_and_four_cliques
 
-        def too_many(graph, centers):
-            tri, f3 = real(graph, centers)
+        def too_many(graph, centers, engine):
+            tri, f3 = real(graph, centers, engine)
             return tri, f3 + np.array([1, 0, 1])  # 4-cliques at w and y
 
         monkeypatch.setattr(ego, "_triangles_and_four_cliques", too_many)

@@ -1,4 +1,10 @@
-"""Engine worker-count validation, byte accounting and the exact vertex reductions."""
+"""Engine worker-count validation, the step pool, byte accounting and the
+exact vertex reductions."""
+
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,3 +153,116 @@ def test_env_worker_count_below_one_rejected(monkeypatch):
     monkeypatch.setenv("TRIPROF_THREADS", "0")
     with pytest.raises(UsageError, match="TRIPROF_THREADS must be at least 1"):
         Engine()
+
+
+class TestWorkerCount:
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("TRIPROF_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert Engine().workers == 3
+        assert engine.usable_cpus() == 3
+
+    def test_default_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("TRIPROF_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert Engine().workers == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert Engine().workers == 1
+
+
+class CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        CountingThread.started += 1
+        super().start()
+
+
+def ones_per_step(acc, s):
+    acc[0][s] += 1
+    acc[1][...] += s
+
+
+@pytest.mark.parametrize("workers, steps, cpus, threads", [
+    (1, 10, 8, 0),  # one worker: a plain loop
+    (8, 10, 2, 1),  # capped by the usable CPUs
+    (8, 3, 8, 2),   # capped by the step count
+    (3, 10, 8, 2),  # the worker count
+    (4, 0, 8, 0),   # no steps
+])
+def test_pool_thread_count(monkeypatch, workers, steps, cpus, threads):
+    """min(workers, steps, CPUs) workers run; the calling thread is one of
+    them, so one thread fewer is started."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    CountingThread.started = 0
+    per_step, step_sum = Engine(workers).sum_steps(steps, [steps, ()], ones_per_step)
+    assert CountingThread.started == threads
+    assert per_step.tolist() == [1] * steps  # each step ran once
+    assert step_sum == sum(range(steps))
+
+
+def test_workers_take_every_wth_step(monkeypatch):
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 3)
+    taken = {}
+
+    def record(acc, s):
+        taken.setdefault(threading.current_thread().name, []).append(s)
+        acc[0][s] = s
+
+    out, = Engine(3).sum_steps(8, [8], record)
+    assert out.tolist() == list(range(8))
+    assert taken[threading.current_thread().name] == [0, 3, 6]
+    assert sorted(taken.values()) == [[0, 3, 6], [1, 4, 7], [2, 5]]
+
+
+def test_step_error_raised_after_every_worker_stops(monkeypatch):
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    done = []
+
+    def fail_on_step_3(acc, s):
+        if s == 3:
+            raise IntegrityError("step 3 failed")
+        done.append(s)
+
+    before = threading.active_count()
+    with pytest.raises(IntegrityError, match="step 3 failed"):
+        Engine(2).sum_steps(6, [()], fail_on_step_3)
+    assert threading.active_count() == before
+    assert sorted(done) == [0, 1, 2, 4]  # worker 1 stopped at step 3, worker 0 ran on
+
+
+def test_more_workers_than_cores_with_frequent_switches(monkeypatch):
+    """Four workers on any machine, switching threads every microsecond: no
+    step's additions are lost or doubled, in the pool or the kernel."""
+    from triprof import profiles
+
+    g = chung_lu(300, 2500, 1.6, seed=7)
+    want = edge_triangle_counts(g, Engine(1))
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(profiles, "PAIR_BUDGET", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        per_step, step_sum = Engine(4).sum_steps(3000, [3000, ()], ones_per_step)
+        got = edge_triangle_counts(g, Engine(4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert per_step.tolist() == [1] * 3000
+    assert step_sum == sum(range(3000))
+    assert np.array_equal(got, want) and want.sum() > 0
+
+
+def test_openblas_threads_default_to_one():
+    """Importing triprof sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    unless the caller has set it."""
+    script = "import triprof, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for value, expect in ((None, "1"), ("3", "3")):
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == expect

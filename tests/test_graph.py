@@ -292,6 +292,31 @@ def test_digit_labels_match_line_loop(tmp_path_factory, drawn):
     assert taken == [intruder is None] * 3
 
 
+@pytest.mark.parametrize("intruder_line", [0, 1, 2500, 4999])
+def test_non_decimal_file_refused_on_a_first_look(tmp_path, intruder_line):
+    """A file with a 7-byte 'v'-prefixed label among its first tokens is
+    refused after the word work on the first _PROBE tokens only; one whose
+    first _PROBE tokens are digits still gets the full check. Both load as
+    the line loop loads them."""
+    rng = np.random.default_rng(intruder_line)
+    lines = [f"{a} {b}\n" for a, b in rng.integers(0, 10 ** 6, size=(5000, 2)).tolist()]
+    lines[intruder_line] = "v123456 7\n"  # token 2 * intruder_line
+    path = tmp_path / "g.txt"
+    path.write_text("".join(lines))
+    checked, real = [], graph._digit_words
+
+    def spy(data, starts, length):
+        checked.append(len(starts))
+        return real(data, starts, length)
+
+    with mock.patch.object(graph, "_digit_words", spy):
+        assert_same_parse(lambda: reference_load(lines), lambda: load_edge_list(path))
+    if 2 * intruder_line < graph._PROBE:
+        assert checked == [graph._PROBE]
+    else:
+        assert checked == [graph._PROBE, 10_000]
+
+
 @pytest.mark.parametrize("text", [
     b"1 2\n2 3 4\n", b"0 00\n007\n", b"9999999 9999998\r1\r\n", b"1 2\n# 3\n7 \xe9\n",
     b"1 2\n12345678 3 4\n"])

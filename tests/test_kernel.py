@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (PolynomialValues, UndirectedGraph, UsageError, census_terms,
-                     compute_profile, ego, ego_parallel, ego_serial, evaluate_polynomials,
-                     load_edge_list, profiles, subgraph_from_mask)
+from triprof import (Engine, PolynomialValues, UndirectedGraph, UsageError, census_terms,
+                     compute_profile, ego, ego_parallel, ego_serial, engine,
+                     evaluate_polynomials, load_edge_list, profiles, subgraph_from_mask)
 from triprof.oracle import brute_force_ego
 
-from conftest import chung_lu, complete_graph, hub_joined_cliques, star_graph
+from conftest import chung_lu, community_graph, complete_graph, hub_joined_cliques, star_graph
 
 
 def brute_edge_triangles(g):
@@ -293,3 +293,35 @@ def test_mask_of_wrong_length_is_usage_error(length):
     with pytest.raises(UsageError):
         subgraph_from_mask(g, mask)
 
+
+@pytest.mark.parametrize("build", [lambda: community_graph(600, 2400, seed=8),
+                                   lambda: chung_lu(300, 2500, 1.6, seed=9)],
+                         ids=["clustered", "skewed"])
+def test_every_consumer_same_for_every_worker_count(build, monkeypatch):
+    """With steps of a few pairs and extensions, a hub's out-list spans many
+    steps and every worker takes several; the four consumers of the shared
+    enumeration give the same integers for one, two and three workers."""
+    g = build()
+    rng = np.random.default_rng(3)
+    masks = [rng.random(g.edge_count) < p for p in (0.2, 0.5, 0.9) * 4]  # two mask bytes
+    centers = rng.choice(g.vertex_count, g.vertex_count // 3, replace=False)
+    o = profiles.orient(g)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 3)  # three workers run on any machine
+    monkeypatch.setattr(profiles, "PAIR_BUDGET", 5)
+    monkeypatch.setattr(ego, "EXTENSION_BUDGET", 3)
+    results = []
+    for workers in (1, 2, 3):
+        e = Engine(workers)
+        results.append((profiles.edge_triangle_counts(g, e).tolist(),
+                        [profiles.masked_profile(o, t, e) for t in masks[:3]],
+                        ego_parallel(g, centers, e).counts.tolist(),
+                        ego_parallel(g, range(g.vertex_count), e).counts.tolist(),
+                        census_terms(g, masks, e)))
+    assert results[0] == results[1] == results[2]
+    monkeypatch.undo()
+    assert results[0] == (profiles.edge_triangle_counts(g).tolist(),
+                          [profiles.masked_profile(o, t) for t in masks[:3]],
+                          ego_parallel(g, centers).counts.tolist(),
+                          ego_parallel(g, range(g.vertex_count)).counts.tolist(),
+                          census_terms(g, masks))
+    assert sum(results[0][0]) > 0 and results[0][2]

@@ -12,7 +12,7 @@ from triprof import (Engine, IntegrityError, UndirectedGraph, compute_profile,
                      global_profile_from_local, scatter_edge_scalars)
 from triprof.oracle import brute_force_local, brute_force_profile
 
-from conftest import er_graph, hub_joined_cliques, star_graph
+from conftest import chung_lu, er_graph, hub_joined_cliques, star_graph
 
 
 def brute_edge_census(g, e):
@@ -88,6 +88,40 @@ class TestGather:
         tri = scatter_edge_scalars(c5).copy()
         tri[0] += 1  # odd triangle sum at both endpoints of edge 0
         with pytest.raises(IntegrityError, match="triangle"):
+            gather_local_profiles(c5, tri)
+
+    @pytest.mark.parametrize("build", [
+        lambda: star_graph(9), lambda: hub_joined_cliques([3, 5, 8]),
+        lambda: chung_lu(200, 1500, 1.6, seed=4),
+        lambda: UndirectedGraph.from_edges([(0, 1)], vertex_count=3)],
+        ids=["star", "hub-cliques", "skewed", "one-edge"])
+    def test_packed_and_separate_endpoint_sums_agree(self, build, monkeypatch):
+        """The triangle and neighbor-degree sums come from one packed endpoint
+        sum where it is exact and from two sums where it might not be; both
+        routes give the same local profiles."""
+        from triprof import profiles
+
+        g = build()
+        tri = scatter_edge_scalars(g)
+        calls = []
+        real = profiles.endpoint_sums
+        monkeypatch.setattr(profiles, "endpoint_sums",
+                            lambda *args: calls.append(len(args)) or real(*args))
+        packed = gather_local_profiles(g, tri)
+        assert calls == [3]
+        monkeypatch.setattr(profiles, "BINCOUNT_EXACT_LIMIT", 2 * g.edge_count)
+        calls.clear()
+        separate = gather_local_profiles(g, tri)
+        assert calls == [2, 3]
+        brute = brute_force_local(g)
+        for name, values in vars(packed).items():
+            assert np.array_equal(values, getattr(separate, name)), name
+            assert np.array_equal(values, getattr(brute, name)), name
+
+    def test_negative_scalar_raises_integrity_error(self, c5):
+        tri = scatter_edge_scalars(c5).copy()
+        tri[2] = -2
+        with pytest.raises(IntegrityError, match="negative value -2 on edge 2"):
             gather_local_profiles(c5, tri)
 
     def test_isolated_vertex_counts(self):

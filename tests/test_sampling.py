@@ -1,5 +1,6 @@
 """Sampling determinism, the transition system, and estimator unbiasedness."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triprof import (Engine, ProfileVector, SampleParams, UsageError, compute_profile,
-                     expected_sampled_profile, sample_mask, subgraph_from_mask,
-                     transition_matrix, unbiased_estimate)
+                     expected_sampled_profile, load_edge_list, sample_mask,
+                     subgraph_from_mask, transition_matrix, unbiased_estimate)
 from triprof.profiles import orient
 from triprof.sampling import estimate_profile
 
@@ -34,6 +35,15 @@ class TestSampleEdges:
         sub = subgraph_from_mask(c5, mask)
         assert sub.vertex_count == c5.vertex_count
         assert sub.edge_count == int(mask.sum())
+
+    def test_subgraph_leaves_the_source_labels_undecoded(self):
+        g = load_edge_list(io.BytesIO(b"hub a\nhub b\na b\nb caf\xc3\xa9\n"))
+        assert not isinstance(g._labels, list)  # still joined bytes
+        mask = np.array([True, False, True, True])
+        sub = subgraph_from_mask(g, mask)
+        assert not isinstance(g._labels, list)
+        assert sub.labels == g.labels == ["hub", "a", "b", "caf\u00e9"]
+        assert sub.edge_count == 3 and sub.vertex_count == 4
 
     def test_binomial_mean_over_seed_sweep(self, c5):
         kept = [int(sample_mask(c5, SampleParams(0.5, s)).sum()) for s in range(10_000)]
