@@ -25,7 +25,7 @@ from . import oracle as oracle_mod
 from . import sampling, theory
 from .engine import Engine
 from .errors import IntegrityError, ParseError, UsageError
-from .graph import UndirectedGraph, load_edge_list
+from .graph import UndirectedGraph, _utf8_error, load_edge_list
 from .profiles import (ProfileVector, compute_profile, gather_local_profiles,
                        global_profile_from_local, orient, scatter_edge_scalars)
 
@@ -166,14 +166,11 @@ def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
         k = min(args.random, g.vertex_count)
         return np.sort(rng.choice(g.vertex_count, size=k, replace=False)).astype(np.int64)
     raw = Path(args.centers).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line holding the bad byte: one more than the breaks before it
-        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(
-            f"--centers line {line}: not UTF-8 text ({exc.reason})") from None
-    labels = [line.strip() for line in text.splitlines() if line.strip()]
+    # lines end where the edge-list loader ends them: LF, CR LF and lone CR
+    bad = _utf8_error(np.frombuffer(raw, dtype=np.uint8))
+    if bad is not None:
+        raise ParseError(f"--centers {bad[1]}")
+    labels = [line.strip() for line in raw.decode("utf-8").splitlines() if line.strip()]
     return np.array([g.id_of_label(label) for label in labels], dtype=np.int64)
 
 

@@ -1,14 +1,14 @@
 """Ego 3-profiles: the triple census of each center's neighborhood-induced subgraph.
 
-Two routes produce identical results. The serial route materializes each
-neighborhood subgraph and runs the profile pipeline on it. The parallel route
-never builds the subgraphs. One oriented triangle enumeration gives each
-edge's triangle count and each center's 4-clique count; triangles are extended
-into 4-cliques only as far as a center can read the result, so the extension
-work follows the centers. Three pivot sums per center follow from the triangle
-counts on the center's edges and the center's degree; the 4-clique count
-supplies the one entry the pivots cannot separate, and the remaining entries
-follow by exact arithmetic, for all centers at once on arrays.
+``ego_parallel`` never builds a neighborhood subgraph; the route that does,
+``oracle.ego_serial``, is the reference it is checked against. One oriented
+triangle enumeration gives each edge's triangle count and each center's
+4-clique count; triangles are extended into 4-cliques only as far as a
+center can read the result, so the extension work follows the centers.
+Three pivot sums per center follow from the triangle counts on the center's
+edges and the center's degree; the 4-clique count supplies the one entry the
+pivots cannot separate, and the remaining entries follow by exact
+arithmetic, for all centers at once on arrays.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
-from .graph import UndirectedGraph, induced_subgraph
-from .profiles import (Orientation, _lookup, _ragged_steps, _triangle_steps,
-                       compute_profile, orient)
+from .graph import UndirectedGraph
+from .profiles import Orientation, _lookup, _ragged_steps, _triangle_steps, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -86,19 +85,6 @@ def _dedup_centers(g: UndirectedGraph, centers) -> np.ndarray:
         raise UsageError(f"center out of range: {ids[bad[0]]}")
     _, first = np.unique(ids, return_index=True)
     return ids[np.sort(first)]
-
-
-def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
-    """One center at a time: induce the neighborhood subgraph and profile it."""
-    engine = engine or Engine()
-    start = time.perf_counter()
-    ids = _dedup_centers(g, centers)
-    counts = np.zeros((len(ids), 4), dtype=np.int64)
-    for row, v in enumerate(ids.tolist()):
-        prof, _ = compute_profile(induced_subgraph(g, g.neighbors(v)), Engine(workers=1))
-        counts[row] = prof.as_tuple()
-    engine.record("ego-serial", time.perf_counter() - start)
-    return EgoTable(ids, counts)
 
 
 def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
@@ -172,7 +158,7 @@ def _extensions(o: Orientation, a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
-    """All centers in two array phases; identical results to ego_serial.
+    """All centers in two array phases; identical results to oracle.ego_serial.
 
     The scatter phase counts each edge's triangles and each center's
     4-cliques in one pass. A center's f3 (triangles among its neighbors) is

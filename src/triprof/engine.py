@@ -92,10 +92,9 @@ class Engine:
         self.phases: list[PhaseStats] = []
 
     def record(self, phase_name: str, elapsed: float,
-               bytes_scattered: int = 0, bytes_gathered: int = 0) -> PhaseStats:
-        stats = PhaseStats(phase_name, elapsed, int(bytes_scattered), int(bytes_gathered))
-        self.phases.append(stats)
-        return stats
+               bytes_scattered: int = 0, bytes_gathered: int = 0) -> None:
+        self.phases.append(
+            PhaseStats(phase_name, elapsed, int(bytes_scattered), int(bytes_gathered)))
 
     def sum_steps(self, steps: int, shapes, add_step) -> list[np.ndarray]:
         """The sums over the steps 0 <= s < ``steps`` of what ``add_step(acc, s)``

@@ -1,23 +1,23 @@
 """Immutable undirected graph: degrees and canonical edges, adjacency on demand.
 
-Vertices are dense integers in [0, vertex_count). Graphs loaded from edge-list
-text keep the original labels so per-vertex output can be written back in the
-source vocabulary; a vertex with no stored label, such as one added by
-``vertex_count``, is labeled by its decimal id. Each edge also has a canonical
-orientation (u < w) and a stable index in [0, edge_count), which every
-per-edge phase keys on.
+Vertices are dense integers in [0, vertex_count). Graphs loaded from
+edge-list files keep the original labels so per-vertex output can be written
+back in the source vocabulary; a vertex with no stored label, such as one
+added by ``vertex_count``, is labeled by its decimal id. Each edge also has a
+canonical orientation (u < w) and a stable index in [0, edge_count), which
+every per-edge phase keys on.
 
 A graph stores its degrees and its canonical edges; every triprof command
 reads nothing else. The CSR (``indptr`` and ``indices``, sorted neighbor
 lists) is built on first use, and so is ``pos_to_edge``, the ordinal of
-every CSR position. Only the reference paths read them: ``neighbors``,
-``has_edge``, ``induced_subgraph`` (through ``ego_serial``), ``pos_to_edge``
-and ``sparse_adjacency``. Labels read from text are kept as their UTF-8
-bytes joined by LF and decoded when first read, so a command that writes no
-label never builds them.
+every CSR position. Only the reference paths read them: ``neighbors``
+(which ``oracle.ego_serial`` and ``oracle.brute_force_ego`` call),
+``pos_to_edge`` and ``sparse_adjacency``. Labels read from a file are kept
+as their UTF-8 bytes joined by LF and decoded when first read, so a command
+that writes no label never builds them.
 
-``load_edge_list`` tokenizes the whole text with array operations. A file is
-read straight into one zero-padded byte array. ASCII whitespace is the bytes
+``load_edge_list`` reads a file straight into one zero-padded byte array
+and tokenizes it whole with array operations. ASCII whitespace is the bytes
 9-13 and 28-32, two unsigned range compares; the wider whitespace characters
 are looked for only among bytes of 0xC2 and above, and only in files that
 have such bytes. One list of the space offsets gives every token's bounds,
@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,11 +209,6 @@ class UndirectedGraph:
         indptr, indices = self._csr_arrays()
         return indices[indptr[v]:indptr[v + 1]]
 
-    def has_edge(self, u: int, w: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, w)
-        return i < len(nb) and nb[i] == w
-
     @property
     def pos_to_edge(self) -> np.ndarray:
         """Edge ordinal for every CSR position (both directions of each edge);
@@ -249,7 +244,7 @@ class UndirectedGraph:
                 shape=(n, n))
         return self._csr
 
-    # -- output and comparison ----------------------------------------------
+    # -- output ------------------------------------------------------------
 
     def canonical_edge_lines(self) -> list[str]:
         """One 'u w' pair per edge over original labels, pairs and lines sorted."""
@@ -262,31 +257,9 @@ class UndirectedGraph:
         pairs.sort()
         return [f"{a} {b}" for a, b in pairs]
 
-    def write_edge_list(self, target: str | Path | IO[str]) -> None:
+    def write_edge_list(self, path: str | Path) -> None:
         text = "\n".join(self.canonical_edge_lines())
-        if text:
-            text += "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text)
-
-    def _label_edge_set(self) -> frozenset:
-        return frozenset(
-            frozenset((self.label_of(int(u)), self.label_of(int(w))))
-            for u, w in zip(self._edge_u, self._edge_w))
-
-    def __eq__(self, other) -> bool:
-        """Same vertex labels and same labeled edge set (dense ids may differ)."""
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        if self.vertex_count != other.vertex_count:
-            return False
-        mine = {self.label_of(v) for v in range(self.vertex_count)}
-        theirs = {other.label_of(v) for v in range(other.vertex_count)}
-        return mine == theirs and self._label_edge_set() == other._label_edge_set()
-
-    __hash__ = None
+        Path(path).write_text(text + "\n" if text else text)
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -340,8 +313,7 @@ class _Text(NamedTuple):
     bad: tuple[int, str] | None
 
 
-def load_edge_list(source: str | Path | IO | Iterable[str],
-                   vertex_count: int | None = None) -> UndirectedGraph:
+def load_edge_list(path: str | Path, vertex_count: int | None = None) -> UndirectedGraph:
     """Parse a whitespace edge list into a graph.
 
     Lines beginning '#' are comments, blank lines are skipped, and every data
@@ -352,9 +324,8 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     ids when asked for; no label is stored for them, and an input label that
     spells one of those ids is a usage error.
 
-    ``source`` is a path to a UTF-8 file, a text handle, or an iterable of
-    str or bytes lines. Tokens are separated by every character for which
-    ``str.isspace()`` holds. The text is tokenized whole with array
+    ``path`` names a UTF-8 file. Tokens are separated by every character
+    for which ``str.isspace()`` holds. The text is tokenized whole with array
     operations: ASCII whitespace is two byte-range compares, one list of the
     space bytes gives every token's bounds, and a running count of the line
     ends among those spaces gives its line. When every label is 1 to 7 ASCII
@@ -364,8 +335,7 @@ def load_edge_list(source: str | Path | IO | Iterable[str],
     The distinct labels are kept as their joined bytes and decoded when the
     graph's labels are first read.
     """
-    text = _read_path(source) if isinstance(source, (str, Path)) else _read_lines(source)
-    pairs, labels = _tokenize(text)
+    pairs, labels = _tokenize(_read_path(path))
     seen = len(labels)
     if vertex_count is not None and vertex_count < seen:
         raise UsageError(
@@ -421,100 +391,6 @@ def _utf8_error(body: np.ndarray) -> tuple[int, str] | None:
         line = _break_count(body[:exc.start]) + 1
         return line, f"line {line}: not UTF-8 text ({exc.reason})"
     return None
-
-
-def _read_lines(source) -> _Text:
-    """The items of a handle or iterable joined by LF into UTF-8 bytes.
-
-    Each item is one line. A str line is encoded as it is (lone surrogates
-    included); a bytes line must be UTF-8 on its own. The CR and LF bytes
-    inside an item become spaces, so that only the joints end lines.
-    """
-    lines: list = []
-    bad = None
-    try:
-        lines.extend(source)
-    except UnicodeDecodeError as exc:
-        # a text handle decodes ahead of the lines it yields, so the lines
-        # yielded before the error are parsed, and fail, first
-        bad = (len(lines) + 1,
-               f"line {_undecodable_line(source, len(lines))}: not UTF-8 text ({exc.reason})")
-    try:
-        joined = "\n".join(lines)
-    except TypeError:  # bytes lines, maybe mixed with str lines
-        joined = None
-    if joined is not None:
-        raw = joined.encode("utf-8", "surrogatepass")
-        breaks = _joints(lines)
-        if len(raw) != len(joined):  # character offsets to byte offsets
-            breaks = np.flatnonzero((np.frombuffer(raw, dtype=np.uint8) & 0xC0) != 0x80)[breaks]
-        del joined
-    else:
-        blobs = lines
-        try:
-            raw = b"\n".join(blobs)
-        except TypeError:  # str lines among them
-            blobs = list(map(_utf8, lines))
-            raw = b"\n".join(blobs)
-        breaks = _joints(blobs)
-        bad = bad or _first_undecodable(lines, raw, breaks)
-    data = _padded(raw)
-    body = data[:len(raw)]
-    body[(body == 10) | (body == 13)] = ord(" ")
-    body[breaks] = 10
-    return _Text(data, len(raw), raw.isascii(), bad)
-
-
-def _joints(items: list) -> np.ndarray:
-    """Offsets of the separators in the items joined by LF."""
-    sizes = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
-    return np.cumsum(sizes + 1)[:-1] - 1
-
-
-def _utf8(line) -> bytes:
-    return line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
-
-
-def _first_undecodable(lines: list, raw: bytes, breaks: np.ndarray) -> tuple[int, str] | None:
-    """(line number, message) of the first bytes line that is not UTF-8 on
-    its own, or None.
-
-    ``raw`` is the lines joined by LF and ``breaks`` the joints. Decoding the
-    joined bytes fails in the first such line, which is then decoded alone
-    for its error. A str line (encoded with its lone surrogates) is not
-    checked, so decoding resumes after it.
-    """
-    if raw.isascii():
-        return None
-    start = 0
-    while True:
-        try:
-            raw[start:].decode("utf-8")
-            return None
-        except UnicodeDecodeError as exc:
-            k = int(np.searchsorted(breaks, start + exc.start))
-        if isinstance(lines[k], bytes):
-            try:
-                lines[k].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return k + 1, f"line {k + 1}: not UTF-8 text ({exc.reason})"
-        if k == len(breaks):
-            return None
-        start = int(breaks[k]) + 1
-
-
-def _undecodable_line(source, lineno: int) -> int:
-    """Line holding the first byte of a text handle's file that is not UTF-8.
-
-    A text handle decodes ahead of the line it yields, so its error surfaces
-    while an earlier line is current; rescan its raw bytes when it has them.
-    """
-    buffer = getattr(source, "buffer", None)
-    if buffer is None or not buffer.seekable():
-        return lineno
-    buffer.seek(0)
-    bad = _utf8_error(np.frombuffer(buffer.read(), dtype=np.uint8))
-    return lineno if bad is None else bad[0]
 
 
 def _tokenize(text: _Text) -> tuple[np.ndarray, _LabelText]:
@@ -816,7 +692,7 @@ class _LabelText:
         return self.count
 
     def decode(self) -> list[str]:
-        return self.text.decode("utf-8", "surrogatepass").split("\n") if self.count else []
+        return self.text.decode("utf-8").split("\n") if self.count else []
 
 
 def _joined_labels(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> _LabelText:
@@ -834,24 +710,3 @@ def _joined_labels(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> 
     out = data[at]
     out[ends - 1] = ord("\n")
     return _LabelText(out[:-1].tobytes(), len(starts))
-
-
-def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
-    """Subgraph on the given vertex set, ids re-densified in sorted order.
-
-    The returned graph's labels are the source labels of the kept vertices,
-    so the mapping back to ``g`` is retained.
-    """
-    keep = _sorted_distinct(np.asarray(
-        vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=np.int64))
-    if keep.size and (keep[0] < 0 or keep[-1] >= g.vertex_count):
-        bad = keep[0] if keep[0] < 0 else keep[-1]
-        raise UsageError(f"vertex out of range: {int(bad)}")
-    mask = np.zeros(g.vertex_count, dtype=bool)
-    mask[keep] = True
-    sel = mask[g.edge_u] & mask[g.edge_w]
-    remap = np.full(g.vertex_count, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    pairs = np.stack([remap[g.edge_u[sel]], remap[g.edge_w[sel]]], axis=1)
-    labels = list(map(g.label_of, keep.tolist()))
-    return UndirectedGraph.from_edges(pairs, vertex_count=keep.size, labels=labels)

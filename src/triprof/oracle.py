@@ -1,18 +1,31 @@
-"""Brute-force reference counts by direct triple and quadruple classification.
+"""Reference routes: counts made the ways the pipeline avoids, which tests
+and the benchmark check the pipeline against. Of the commands, only
+``oracle`` runs any of them, and only the brute-force counts.
 
-These operate on a dense adjacency matrix and share no code with the
-scatter/gather pipeline; independence is the point. They are capped at desk
-scale, where O(|V|^3) enumeration is still instant.
+- The brute-force counts classify every vertex triple (or quadruple) on a
+  dense adjacency matrix and share no code with the scatter/gather
+  pipeline; independence is the point. They are capped at desk scale, where
+  O(|V|^3) enumeration is still instant.
+- ``ego_serial`` is the materializing ego route: it builds each center's
+  neighborhood subgraph with ``induced_subgraph`` and runs
+  ``compute_profile`` on it, the per-center work that ``ego.ego_parallel``
+  avoids by edge pivoting.
+- ``transition_matrix`` and ``expected_sampled_profile`` are the sampling
+  process's forward model, which ``sampling.unbiased_estimate`` inverts.
 """
 
 from __future__ import annotations
 
+import time
+from fractions import Fraction
+
 import numpy as np
 
-from .ego import EgoProfile
+from .ego import EgoProfile, EgoTable, _dedup_centers
+from .engine import Engine
 from .errors import UsageError
 from .graph import UndirectedGraph
-from .profiles import LocalProfile, ProfileVector
+from .profiles import LocalProfile, ProfileVector, compute_profile
 
 PROFILE_CAP = 256
 FOUR_CLIQUE_CAP = 128
@@ -161,3 +174,64 @@ def brute_force_four_cliques(g: UndirectedGraph, cap: int = FOUR_CLIQUE_CAP) -> 
                 common_abc = common_ab & mat[int(c)]
                 count += int(np.count_nonzero(common_abc[c + 1:]))
     return count
+
+
+def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
+    """Subgraph on the given vertex set, ids re-densified in sorted order.
+
+    The returned graph's labels are the source labels of the kept vertices,
+    so the mapping back to ``g`` is retained.
+    """
+    keep = np.unique(np.asarray(
+        vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=np.int64))
+    if keep.size and (keep[0] < 0 or keep[-1] >= g.vertex_count):
+        bad = keep[0] if keep[0] < 0 else keep[-1]
+        raise UsageError(f"vertex out of range: {int(bad)}")
+    mask = np.zeros(g.vertex_count, dtype=bool)
+    mask[keep] = True
+    sel = mask[g.edge_u] & mask[g.edge_w]
+    remap = np.full(g.vertex_count, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    pairs = np.stack([remap[g.edge_u[sel]], remap[g.edge_w[sel]]], axis=1)
+    labels = list(map(g.label_of, keep.tolist()))
+    return UndirectedGraph.from_edges(pairs, vertex_count=keep.size, labels=labels)
+
+
+def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
+    """One center at a time: induce the neighborhood subgraph and profile it."""
+    engine = engine or Engine()
+    start = time.perf_counter()
+    ids = _dedup_centers(g, centers)
+    counts = np.zeros((len(ids), 4), dtype=np.int64)
+    for row, v in enumerate(ids.tolist()):
+        prof, _ = compute_profile(induced_subgraph(g, g.neighbors(v)), Engine(workers=1))
+        counts[row] = prof.as_tuple()
+    engine.record("ego-serial", time.perf_counter() - start)
+    return EgoTable(ids, counts)
+
+
+def _transition_rows(p: Fraction) -> list[list[Fraction]]:
+    q = 1 - p
+    return [
+        [Fraction(1), q, q * q, q ** 3],
+        [Fraction(0), p, 2 * p * q, 3 * p * q * q],
+        [Fraction(0), Fraction(0), p * p, 3 * p * p * q],
+        [Fraction(0), Fraction(0), Fraction(0), p ** 3],
+    ]
+
+
+def transition_matrix(p: float) -> np.ndarray:
+    """4x4 upper-triangular matrix mapping a true profile to the expected sampled one."""
+    if not 0 < p <= 1:
+        raise UsageError(f"sampling probability must be in (0, 1], got {p}")
+    rows = _transition_rows(Fraction(p))
+    return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+
+
+def expected_sampled_profile(n: ProfileVector, p: float) -> ProfileVector:
+    """Expected profile of the sampled graph: the transition matrix applied to n."""
+    if not 0 < p <= 1:
+        raise UsageError(f"sampling probability must be in (0, 1], got {p}")
+    rows = _transition_rows(Fraction(p))
+    vec = [Fraction(x) for x in n.as_tuple()]
+    return ProfileVector(*(sum(row[j] * vec[j] for j in range(4)) for row in rows))

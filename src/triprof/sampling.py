@@ -5,6 +5,9 @@ configuration to a smaller-or-equal one with known transition probabilities.
 The estimator applies the inverse of that transition matrix to the sampled
 graph's exact profile, which makes it unbiased. Estimates are computed in
 exact rational arithmetic so the configuration total is preserved exactly.
+The forward model, ``oracle.transition_matrix`` and
+``oracle.expected_sampled_profile``, is the reference the estimator is
+checked against.
 """
 
 from __future__ import annotations
@@ -73,33 +76,6 @@ def subgraph_from_mask(g: UndirectedGraph, mask: np.ndarray) -> UndirectedGraph:
     pairs = np.stack([g.edge_u[mask], g.edge_w[mask]], axis=1)
     return UndirectedGraph.from_edges(pairs, vertex_count=g.vertex_count,
                                       labels=g._labels)
-
-
-def _transition_rows(p: Fraction) -> list[list[Fraction]]:
-    q = 1 - p
-    return [
-        [Fraction(1), q, q * q, q ** 3],
-        [Fraction(0), p, 2 * p * q, 3 * p * q * q],
-        [Fraction(0), Fraction(0), p * p, 3 * p * p * q],
-        [Fraction(0), Fraction(0), Fraction(0), p ** 3],
-    ]
-
-
-def transition_matrix(p: float) -> np.ndarray:
-    """4x4 upper-triangular matrix mapping a true profile to the expected sampled one."""
-    if not 0 < p <= 1:
-        raise UsageError(f"sampling probability must be in (0, 1], got {p}")
-    rows = _transition_rows(Fraction(p))
-    return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
-
-
-def expected_sampled_profile(n: ProfileVector, p: float) -> ProfileVector:
-    """Expected profile of the sampled graph: the transition matrix applied to n."""
-    if not 0 < p <= 1:
-        raise UsageError(f"sampling probability must be in (0, 1], got {p}")
-    rows = _transition_rows(Fraction(p))
-    vec = [Fraction(x) for x in n.as_tuple()]
-    return ProfileVector(*(sum(row[j] * vec[j] for j in range(4)) for row in rows))
 
 
 def unbiased_estimate(y: ProfileVector, p: float) -> ProfileVector:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import triprof
-from triprof import UndirectedGraph
+from triprof import UndirectedGraph, load_edge_list
 
 ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -37,6 +38,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  ({detail})"
         terminalreporter.write_line(line)
+
+
+def load_text(content: str | bytes, vertex_count: int | None = None) -> UndirectedGraph:
+    """``load_edge_list`` of a temporary file holding ``content``, a str
+    written as UTF-8 or bytes written as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        return load_edge_list(path, vertex_count=vertex_count)
 
 
 def complete_graph(n: int) -> UndirectedGraph:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from triprof import (IntegrityError, ProfileVector, SampleParams, compute_profile,
-                     ego_serial, load_edge_list, sample_mask, subgraph_from_mask)
+                     load_edge_list, sample_mask, subgraph_from_mask)
 from triprof.cli import _emit, accuracy_ratio, main
+from triprof.oracle import ego_serial
 
 from conftest import chung_lu
 
@@ -153,6 +154,17 @@ class TestHostileInput:
         centers.write_bytes(b"1\r\n2\r3 caf\xe9\n")
         assert main(["ego", k4_file, "--centers", str(centers)]) == 2
         assert "--centers line 3: not UTF-8" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("other_break", [b"\x0c", b"\x1c", b"\xc2\x85"],
+                             ids=["form-feed", "file-separator", "next-line"])
+    def test_non_utf8_centers_line_counts_only_line_ends(self, capsys, k4_file, tmp_path,
+                                                         other_break):
+        """Characters that str.splitlines() also breaks at do not end a
+        line, as in the edge-list loader."""
+        centers = tmp_path / "centers.txt"
+        centers.write_bytes(b"1" + other_break + b"2\n\xff\n")
+        assert main(["ego", k4_file, "--centers", str(centers)]) == 2
+        assert "--centers line 2: not UTF-8" in self.one_line_error(capsys)
 
     def test_directory_as_centers_file(self, capsys, k4_file, tmp_path):
         assert main(["ego", k4_file, "--centers", str(tmp_path)]) == 2

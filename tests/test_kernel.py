@@ -10,7 +10,6 @@ center subsets, so that 4-cliques are found both from a center triangle and
 through the out-lists restricted to center heads.
 """
 
-import io
 import math
 import tracemalloc
 from functools import cache
@@ -21,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triprof import (Engine, PolynomialValues, UndirectedGraph, UsageError, census_terms,
-                     compute_profile, ego, ego_parallel, ego_serial, engine,
-                     evaluate_polynomials, load_edge_list, profiles, subgraph_from_mask)
-from triprof.oracle import brute_force_ego
+                     compute_profile, ego, ego_parallel, engine, evaluate_polynomials,
+                     profiles, subgraph_from_mask)
+from triprof.oracle import brute_force_ego, ego_serial
 
-from conftest import chung_lu, community_graph, complete_graph, hub_joined_cliques, star_graph
+from conftest import (chung_lu, community_graph, complete_graph, hub_joined_cliques, load_text,
+                      star_graph)
 
 
 def brute_edge_triangles(g):
@@ -48,8 +48,7 @@ CASES = {
         vertex_count=14),
     "duplicates-reversed": UndirectedGraph.from_edges(
         [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (0, 2), (2, 3), (3, 3), (3, 0)]),
-    "vertex-count-padding": load_edge_list(
-        io.StringIO("a b\nb c\nc a\nc d\nd a\nb a\n"), vertex_count=10),
+    "vertex-count-padding": load_text("a b\nb c\nc a\nc d\nd a\nb a\n", vertex_count=10),
     "skewed-a": chung_lu(60, 400, 1.6, seed=1),
     "skewed-b": chung_lu(200, 900, 1.8, seed=2),
     "skewed-c": chung_lu(40, 600, 1.5, seed=3),
