@@ -170,7 +170,8 @@ def _select_centers(args, g: UndirectedGraph) -> np.ndarray:
     bad = _utf8_error(np.frombuffer(raw, dtype=np.uint8))
     if bad is not None:
         raise ParseError(f"--centers {bad[1]}")
-    labels = [line.strip() for line in raw.decode("utf-8").splitlines() if line.strip()]
+    lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    labels = [line.strip() for line in lines if line.strip()]
     return np.array([g.id_of_label(label) for label in labels], dtype=np.int64)
 
 
@@ -280,9 +281,8 @@ def _cmd_sparsifier_check(args, g: UndirectedGraph, engine: Engine, report: dict
 def _cmd_polys(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     seeds = [(args.seed + i) % 2 ** 64 for i in range(args.runs)]
     masks = (sampling.sample_mask(g, sampling.SampleParams(args.p, seed)) for seed in seeds)
-    start = time.perf_counter()
-    terms = theory.census_terms(g, masks, engine)
-    engine.record("polys:triangle-pass", time.perf_counter() - start)
+    with engine.phase("polys:triangle-pass"):
+        terms = theory.census_terms(g, masks, engine)
     report["p"] = args.p
     report["runs"] = [{"seed": seed, "values": values.as_json(),
                        "identity_residuals": list(values.identity_residuals())}
@@ -304,14 +304,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         engine = Engine(args.threads)
         started = time.perf_counter()
-        g = load_edge_list(args.graph, vertex_count=args.vertex_count)
-        engine.record("load", time.perf_counter() - started)
+        with engine.phase("load"):
+            g = load_edge_list(args.graph, vertex_count=args.vertex_count)
         report = {"command": args.command,
                   "graph": {"path": args.graph, "vertices": g.vertex_count,
                             "edges": g.edge_count}}
         _COMMANDS[args.command](args, g, engine, report)
         report["workers"] = None if args.no_timing else engine.workers
-        report["phases"] = [s.as_json(mask_timing=args.no_timing) for s in engine.phases]
+        report["phases"] = ([dict(ph, seconds=None) for ph in engine.phases]
+                            if args.no_timing else engine.phases)
         report["elapsed_seconds"] = None if args.no_timing else time.perf_counter() - started
         _emit(args, report)
         return 0

@@ -13,7 +13,6 @@ arithmetic, for all centers at once on arrays.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import Orientation, _lookup, _ragged_steps, _triangle_steps, orient
+from .profiles import Orientation, _bounds, _lookup, _ragged_steps, _triangle_steps, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -114,8 +113,7 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
     # keys stay sorted, so only the pointers are rebuilt
     to_center = is_center[o.dst]
     heads = o.dst[to_center]
-    center_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(o.src[to_center], minlength=n), out=center_ptr[1:])
+    center_ptr = _bounds(np.bincount(o.src[to_center], minlength=n))
     del to_center
 
     def extend(acc, i, j, k):
@@ -179,24 +177,21 @@ def ego_parallel(g: UndirectedGraph, centers, engine: Engine | None = None) -> E
     engine = engine or Engine()
     ids = _dedup_centers(g, centers)
 
-    start = time.perf_counter()
-    tri, f3 = _triangles_and_four_cliques(g, ids, engine)
-    engine.record("ego:scatter-triangles-cliques", time.perf_counter() - start,
-                  bytes_scattered=8 * g.edge_count + 8 * g.vertex_count)
+    with engine.phase("ego:scatter-triangles-cliques",
+                      bytes_scattered=8 * g.edge_count + 8 * g.vertex_count):
+        tri, f3 = _triangles_and_four_cliques(g, ids, engine)
 
-    start = time.perf_counter()
-    s = endpoint_sums(g, tri)[ids]
-    np.multiply(tri, tri, out=tri)
-    q = endpoint_sums(g, tri)[ids]
-    del tri
     d = g.degrees[ids]
-    d1 = d - 1  # D above
-    sums = np.stack([d * (d1 * (d1 - 1) // 2) - d1 * s + (q + s) // 2,
-                     (q - s) // 2,
-                     d1 * s - q], axis=1)
-    counts = _solve_pivots(g, ids, sums, f3)
-    engine.record("ego:gather-pivots", time.perf_counter() - start,
-                  bytes_gathered=8 * 3 * int(d.sum()) + 8 * len(ids))
+    with engine.phase("ego:gather-pivots", bytes_gathered=8 * 3 * int(d.sum()) + 8 * len(ids)):
+        s = endpoint_sums(g, tri)[ids]
+        np.multiply(tri, tri, out=tri)
+        q = endpoint_sums(g, tri)[ids]
+        del tri
+        d1 = d - 1  # D above
+        sums = np.stack([d * (d1 * (d1 - 1) // 2) - d1 * s + (q + s) // 2,
+                         (q - s) // 2,
+                         d1 * s - q], axis=1)
+        counts = _solve_pivots(g, ids, sums, f3)
     return EgoTable(ids, counts)
 
 

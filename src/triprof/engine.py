@@ -1,5 +1,8 @@
-"""Phase accounting shared by every pipeline stage, the worker pool that runs
-the triangle enumeration's steps, and exact per-vertex sums of per-edge values.
+"""Phase recording for every pipeline stage, the worker pool that runs the
+triangle enumeration's steps, and exact per-vertex sums of per-edge values.
+
+``Engine.phase`` is the one phase clock: each scatter or gather phase is one
+``with`` block, logged to ``Engine.phases`` as the dict the report writes.
 
 ``Engine.sum_steps`` runs a pass of numbered steps on the engine's workers.
 Worker w of W takes steps w, w + W, w + 2W, ... in order and adds them into
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,24 +45,6 @@ ENV_THREADS = "TRIPROF_THREADS"
 # float64 holds every integer up to 2**53 exactly, so endpoint_sums'
 # weighted bincounts are exact while every sum stays below it.
 BINCOUNT_EXACT_LIMIT = 2 ** 53
-
-
-@dataclass
-class PhaseStats:
-    """Accounting for one scatter or gather phase."""
-
-    phase_name: str
-    elapsed: float
-    bytes_scattered: int
-    bytes_gathered: int
-
-    def as_json(self, mask_timing: bool = False) -> dict:
-        return {
-            "name": self.phase_name,
-            "seconds": None if mask_timing else self.elapsed,
-            "bytes_scattered": self.bytes_scattered,
-            "bytes_gathered": self.bytes_gathered,
-        }
 
 
 def default_worker_count() -> int:
@@ -83,18 +69,27 @@ def usable_cpus() -> int:
 
 
 class Engine:
-    """Worker count plus a log of PhaseStats for every phase recorded."""
+    """Worker count plus ``phases``, the log of every phase that ended: one
+    dict ``{name, seconds, bytes_scattered, bytes_gathered}`` each, in the
+    order the phases' blocks ended."""
 
     def __init__(self, workers: int | None = None):
         self.workers = default_worker_count() if workers is None else int(workers)
         if self.workers < 1:
             raise UsageError(f"worker count (--threads) must be at least 1, got {workers}")
-        self.phases: list[PhaseStats] = []
+        self.phases: list[dict] = []
 
-    def record(self, phase_name: str, elapsed: float,
-               bytes_scattered: int = 0, bytes_gathered: int = 0) -> None:
-        self.phases.append(
-            PhaseStats(phase_name, elapsed, int(bytes_scattered), int(bytes_gathered)))
+    @contextmanager
+    def phase(self, name: str, bytes_scattered: int = 0, bytes_gathered: int = 0):
+        """Time the block as the phase ``name`` and log its entry to ``phases``
+        when the block ends; a block that raises logs nothing. The block
+        receives the entry and may set byte counts it learns as it runs."""
+        entry = {"name": name, "seconds": None,
+                 "bytes_scattered": bytes_scattered, "bytes_gathered": bytes_gathered}
+        start = time.perf_counter()
+        yield entry
+        entry["seconds"] = time.perf_counter() - start
+        self.phases.append(entry)
 
     def sum_steps(self, steps: int, shapes, add_step) -> list[np.ndarray]:
         """The sums over the steps 0 <= s < ``steps`` of what ``add_step(acc, s)``

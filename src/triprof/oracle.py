@@ -16,7 +16,6 @@ and the benchmark check the pipeline against. Of the commands, only
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -140,19 +139,23 @@ def brute_force_local(g: UndirectedGraph, cap: int = PROFILE_CAP) -> LocalProfil
 
 def brute_force_ego(g: UndirectedGraph, v: int,
                     degree_cap: int = EGO_DEGREE_CAP) -> EgoProfile:
-    """Classify the triples among v's neighbors by edges among them."""
+    """Classify the triples among v's neighbors by edges among them, on the
+    d x d adjacency matrix of v's d neighbors."""
     if not 0 <= v < g.vertex_count:
         raise UsageError(f"center out of range: {v}")
     nb = g.neighbors(v)
     if len(nb) > degree_cap:
         raise UsageError(
             f"brute-force ego is capped at degree {degree_cap}, got {len(nb)}")
-    mat = np.zeros((g.vertex_count, g.vertex_count), dtype=bool)
-    mat[g.edge_u, g.edge_w] = True
-    mat[g.edge_w, g.edge_u] = True
-    sub = mat[np.ix_(nb, nb)]
-    counts = [0, 0, 0, 0]
     d = len(nb)
+    local = np.full(g.vertex_count, -1, dtype=np.int64)
+    local[nb] = np.arange(d)
+    iu, iw = local[g.edge_u], local[g.edge_w]
+    inside = (iu >= 0) & (iw >= 0)
+    sub = np.zeros((d, d), dtype=bool)
+    sub[iu[inside], iw[inside]] = True
+    sub |= sub.T
+    counts = [0, 0, 0, 0]
     for i in range(d - 2):
         for j in range(i + 1, d - 1):
             k = sub[i, j + 1:].astype(np.int64) + sub[j, j + 1:] + int(sub[i, j])
@@ -200,13 +203,12 @@ def induced_subgraph(g: UndirectedGraph, vertices) -> UndirectedGraph:
 def ego_serial(g: UndirectedGraph, centers, engine: Engine | None = None) -> EgoTable:
     """One center at a time: induce the neighborhood subgraph and profile it."""
     engine = engine or Engine()
-    start = time.perf_counter()
-    ids = _dedup_centers(g, centers)
-    counts = np.zeros((len(ids), 4), dtype=np.int64)
-    for row, v in enumerate(ids.tolist()):
-        prof, _ = compute_profile(induced_subgraph(g, g.neighbors(v)), Engine(workers=1))
-        counts[row] = prof.as_tuple()
-    engine.record("ego-serial", time.perf_counter() - start)
+    with engine.phase("ego-serial"):
+        ids = _dedup_centers(g, centers)
+        counts = np.zeros((len(ids), 4), dtype=np.int64)
+        for row, v in enumerate(ids.tolist()):
+            prof, _ = compute_profile(induced_subgraph(g, g.neighbors(v)), Engine(workers=1))
+            counts[row] = prof.as_tuple()
     return EgoTable(ids, counts)
 
 

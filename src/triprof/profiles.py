@@ -14,7 +14,6 @@ other entries from the kept degrees.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,9 +125,7 @@ def orient(g: UndirectedGraph) -> Orientation:
     del ru, rw
     keys, order = _value_sort(keys, max(n * n - 1, 0).bit_length())
     src, dst = np.divmod(keys, n)
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
-    return Orientation(n, rank, order, keys, src, dst, out_ptr)
+    return Orientation(n, rank, order, keys, src, dst, _bounds(np.bincount(src, minlength=n)))
 
 
 def _value_sort(values: np.ndarray, vbits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +299,7 @@ def masked_profile(o: Orientation, mask: np.ndarray,
     kept = np.flatnonzero(np.asarray(mask)[o.order])
     src, dst = o.src[kept], o.dst[kept]
     out_deg = np.bincount(src, minlength=n)
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(out_deg, out=out_ptr[1:])
-    view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, out_ptr)
+    view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, _bounds(out_deg))
 
     def count(acc, i, j, k):
         acc[0] += len(k)
@@ -335,11 +330,8 @@ def scatter_edge_scalars(g: UndirectedGraph, engine: Engine | None = None,
     endpoint and the vertices isolated from both.
     """
     engine = engine or Engine()
-    start = time.perf_counter()
-    tri = edge_triangle_counts(g, engine, orientation)
-    engine.record("scatter:edge-scalars", time.perf_counter() - start,
-                  bytes_scattered=g.edge_count * 4 * 8)
-    return tri
+    with engine.phase("scatter:edge-scalars", bytes_scattered=g.edge_count * 4 * 8):
+        return edge_triangle_counts(g, engine, orientation)
 
 
 def _halved(sums: np.ndarray, what: str, g: UndirectedGraph) -> np.ndarray:
@@ -388,30 +380,28 @@ def gather_local_profiles(g: UndirectedGraph, tri: np.ndarray,
     from both of its edges) and n1_e = d*(n - 1 - d) - n2_e.
     """
     engine = engine or Engine()
-    start = time.perf_counter()
     n, m = g.vertex_count, g.edge_count
-    deg = g.degrees
-    twice_n3, nd = _triangle_and_degree_sums(g, tri)
-    n3 = _halved(twice_n3, "triangle", g)
-    n2_e = nd - deg - twice_n3
-    n2_c = (deg * (deg - 1) >> 1) - n3
-    n1_e = deg * (n - 1 - deg) - n2_e
-    n1_d = m - deg - n3 - n2_e
-    bad = np.flatnonzero(n1_d < 0)
-    if bad.size:
-        v = int(bad[0])
-        raise IntegrityError(
-            f"negative detached-edge count at vertex {g.label_of(v)} (id {v})")
-    triples_per_vertex = math.comb(n - 1, 2) if n >= 1 else 0
-    n0 = triples_per_vertex - n1_e - n1_d - n2_e - n2_c - n3
-    bad = np.flatnonzero(n0 < 0)
-    if bad.size:
-        v = int(bad[0])
-        raise IntegrityError(
-            f"negative empty-triple count at vertex {g.label_of(v)} (id {v})")
-    engine.record("gather:local-profiles", time.perf_counter() - start,
-                  bytes_gathered=2 * m * 4 * 8)
-    return LocalProfile(n0, n1_e, n1_d, n2_e, n2_c, n3)
+    with engine.phase("gather:local-profiles", bytes_gathered=2 * m * 4 * 8):
+        deg = g.degrees
+        twice_n3, nd = _triangle_and_degree_sums(g, tri)
+        n3 = _halved(twice_n3, "triangle", g)
+        n2_e = nd - deg - twice_n3
+        n2_c = (deg * (deg - 1) >> 1) - n3
+        n1_e = deg * (n - 1 - deg) - n2_e
+        n1_d = m - deg - n3 - n2_e
+        bad = np.flatnonzero(n1_d < 0)
+        if bad.size:
+            v = int(bad[0])
+            raise IntegrityError(
+                f"negative detached-edge count at vertex {g.label_of(v)} (id {v})")
+        triples_per_vertex = math.comb(n - 1, 2) if n >= 1 else 0
+        n0 = triples_per_vertex - n1_e - n1_d - n2_e - n2_c - n3
+        bad = np.flatnonzero(n0 < 0)
+        if bad.size:
+            v = int(bad[0])
+            raise IntegrityError(
+                f"negative empty-triple count at vertex {g.label_of(v)} (id {v})")
+        return LocalProfile(n0, n1_e, n1_d, n2_e, n2_c, n3)
 
 
 def global_profile_from_local(locals_: LocalProfile) -> ProfileVector:
@@ -448,13 +438,11 @@ def count_triangles_only(g: UndirectedGraph,
     the full pipeline's.
     """
     engine = engine or Engine()
-    start = time.perf_counter()
-    tri = edge_triangle_counts(g, engine)
-    n, m = g.vertex_count, g.edge_count
-    per_vertex = _halved(endpoint_sums(g, tri), "triangle", g)
-    total = _exact_sum(tri)
-    if total % 3:
-        raise IntegrityError(f"edge triangle sum not divisible by 3: {total}")
-    engine.record("triangles-only", time.perf_counter() - start,
-                  bytes_scattered=m * 8, bytes_gathered=2 * m * 8)
-    return per_vertex, total // 3
+    m = g.edge_count
+    with engine.phase("triangles-only", bytes_scattered=m * 8, bytes_gathered=2 * m * 8):
+        tri = edge_triangle_counts(g, engine)
+        per_vertex = _halved(endpoint_sums(g, tri), "triangle", g)
+        total = _exact_sum(tri)
+        if total % 3:
+            raise IntegrityError(f"edge triangle sum not divisible by 3: {total}")
+        return per_vertex, total // 3

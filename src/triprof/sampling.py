@@ -12,7 +12,6 @@ checked against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,12 +107,10 @@ def estimate_profile(g: UndirectedGraph, params: SampleParams, engine: Engine | 
     edges: one key each scattered, two endpoint degrees each gathered.
     """
     engine = engine or Engine()
-    start = time.perf_counter()
-    mask = sample_mask(g, params)
-    sampled = masked_profile(orient(g) if orientation is None else orientation, mask,
-                             engine)
-    estimate = unbiased_estimate(sampled, params.p)
-    kept = int(np.count_nonzero(mask))
-    engine.record(f"sampled-run:{params.seed}", time.perf_counter() - start,
-                  bytes_scattered=8 * kept, bytes_gathered=2 * 8 * kept)
-    return estimate, sampled
+    with engine.phase(f"sampled-run:{params.seed}") as phase:
+        mask = sample_mask(g, params)
+        sampled = masked_profile(orient(g) if orientation is None else orientation, mask,
+                                 engine)
+        kept = int(np.count_nonzero(mask))
+        phase.update(bytes_scattered=8 * kept, bytes_gathered=2 * 8 * kept)
+        return unbiased_estimate(sampled, params.p), sampled

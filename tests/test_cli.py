@@ -166,6 +166,16 @@ class TestHostileInput:
         assert main(["ego", k4_file, "--centers", str(centers)]) == 2
         assert "--centers line 2: not UTF-8" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("other_break", [b"\x0c", b"\x1c", b"\xc2\x85", b"\xe2\x80\xa8"],
+                             ids=["form-feed", "file-separator", "next-line", "line-separator"])
+    def test_centers_line_ends_only_at_line_ends(self, capsys, k4_file, tmp_path, other_break):
+        """A line 0<sep>1 is the one label it reads as, not two centers."""
+        centers = tmp_path / "centers.txt"
+        centers.write_bytes(b"0" + other_break + b"1\n")
+        assert main(["ego", k4_file, "--centers", str(centers)]) == 1
+        label = ("0" + other_break.decode() + "1")
+        assert f"unknown vertex label {label!r}" in self.one_line_error(capsys)
+
     def test_directory_as_centers_file(self, capsys, k4_file, tmp_path):
         assert main(["ego", k4_file, "--centers", str(tmp_path)]) == 2
         self.one_line_error(capsys)
@@ -314,6 +324,14 @@ class TestEgoCommand:
         code, report = run_cli(capsys, "ego", k4_file, "--centers", str(centers))
         assert code == 0
         assert [row[0] for row in report["egos"]] == ["1", "3"]
+
+    def test_centers_file_line_ends(self, capsys, k4_file, tmp_path):
+        """LF, CR LF and a lone CR each end a --centers line."""
+        centers = tmp_path / "centers.txt"
+        centers.write_bytes(b"0\r1\r2\r\n3\n")
+        code, report = run_cli(capsys, "ego", k4_file, "--centers", str(centers))
+        assert code == 0
+        assert [row[0] for row in report["egos"]] == ["0", "1", "2", "3"]
 
     @pytest.mark.parametrize("padding", [
         [], pytest.param(["--vertex-count", "7"], id="padding-below-label")])

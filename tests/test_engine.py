@@ -1,10 +1,13 @@
-"""Engine worker-count validation, the step pool, byte accounting and the
-exact vertex reductions."""
+"""Engine worker-count validation, the phase recorder, the step pool, byte
+accounting and the exact vertex reductions."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,9 +121,9 @@ def test_gather_byte_accounting(c5):
     engine = Engine(workers=2)
     ego_parallel(c5, [0, 2], engine=engine)
     stats = engine.phases[-1]
-    assert stats.phase_name == "ego:gather-pivots"
+    assert stats["name"] == "ego:gather-pivots"
     # three pivot scalars per incident edge, one 4-clique count per center
-    assert stats.bytes_gathered == 8 * 3 * 4 + 8 * 2
+    assert stats["bytes_gathered"] == 8 * 3 * 4 + 8 * 2
 
 
 def test_byte_counters_identical_across_worker_counts():
@@ -130,7 +133,7 @@ def test_byte_counters_identical_across_worker_counts():
         engine = Engine(workers=w)
         compute_profile(g, engine)
         ego_parallel(g, range(g.vertex_count), engine=engine)
-        counters.append([(s.phase_name, s.bytes_scattered, s.bytes_gathered)
+        counters.append([(s["name"], s["bytes_scattered"], s["bytes_gathered"])
                          for s in engine.phases])
     assert counters[0] == counters[1]
 
@@ -266,3 +269,71 @@ def test_openblas_threads_default_to_one():
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == expect
+
+
+def test_raising_phase_logs_nothing():
+    engine = Engine(1)
+    with pytest.raises(IntegrityError):
+        with engine.phase("doomed", bytes_scattered=8):
+            raise IntegrityError("phase failed")
+    assert engine.phases == []
+
+
+def test_nested_phases_log_inner_first():
+    engine = Engine(1)
+    with engine.phase("outer"):
+        with engine.phase("inner"):
+            sum(range(10_000))
+    inner, outer = engine.phases
+    assert (inner["name"], outer["name"]) == ("inner", "outer")
+    assert outer["seconds"] >= inner["seconds"] >= 0
+
+
+def test_bytes_set_on_the_entry_are_logged():
+    engine = Engine(1)
+    with engine.phase("run", bytes_scattered=3) as entry:
+        entry.update(bytes_gathered=16)
+    assert engine.phases == [{"name": "run", "seconds": entry["seconds"],
+                              "bytes_scattered": 3, "bytes_gathered": 16}]
+
+
+def test_phase_entries_have_the_report_keys(c5):
+    """Each logged entry has exactly the keys README's report shape lists for
+    a phase, so the CLI writes the log as it is."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"^phases \(each\):\s*\{([^}]*)\}", readme, re.M).group(1)
+    keys = {key.strip() for key in listed.split(",")}
+    engine = Engine(1)
+    compute_profile(c5, engine)
+    ego_parallel(c5, [0], engine=engine)
+    assert len(engine.phases) == 4
+    for entry in engine.phases:
+        assert set(entry) == keys == {"name", "seconds", "bytes_scattered", "bytes_gathered"}
+
+
+def test_one_phase_clock():
+    """``Engine.phase`` is the package's one phase clock: ``time`` is read only
+    there and in ``cli.main``'s report clock (``elapsed_seconds``). Spans with
+    children, RSS and counters (ROADMAP item 1) extend this one recorder
+    rather than adding a clock beside it."""
+    allowed = {("engine.py", "Engine.phase"), ("cli.py", "main")}
+    found, importers = set(), set()
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.ImportFrom) and child.module == "time":
+                found.add((file, scope, "from time import"))
+            if isinstance(child, ast.Import) and any(a.name == "time" for a in child.names):
+                importers.add(file)
+            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                    and child.value.id == "time"):
+                found.add((file, scope, child.attr))
+            visit(child, file, inner)
+
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert importers == {file for file, _ in allowed}
+    assert found == {(file, scope, "perf_counter") for file, scope in allowed}

@@ -1,11 +1,12 @@
 """The brute-force references themselves, on hand-checkable graphs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from triprof import UndirectedGraph, UsageError
+from triprof import UndirectedGraph, UsageError, ego_parallel
 from triprof.oracle import (brute_force_ego, brute_force_four_cliques,
                             brute_force_local, brute_force_profile)
 
@@ -78,6 +79,23 @@ class TestEgo:
         g = er_graph(20, 0.5, rng)
         for v in range(g.vertex_count):
             assert brute_force_ego(g, v).total() == math.comb(g.degree(v), 3)
+
+    def test_memory_follows_the_degree(self):
+        """One center of an 8000-vertex degree-4 circulant: a 4 x 4 matrix,
+        not an 8000 x 8000 one (61 MiB)."""
+        n = 8000
+        ring = np.arange(n)
+        g = UndirectedGraph.from_edges(np.concatenate(
+            [np.stack([ring, (ring + k) % n], axis=1) for k in (1, 2)]))
+        g.neighbors(0)  # builds the adjacency the call reads
+        tracemalloc.start()
+        try:
+            got = brute_force_ego(g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert got.as_tuple() == tuple(ego_parallel(g, [5]).counts[0]) == (0, 2, 2, 0)
 
 
 class TestFourCliques:

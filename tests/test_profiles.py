@@ -222,7 +222,7 @@ class TestTrianglesOnly:
 def test_phase_byte_accounting(c5):
     engine = Engine(workers=2)
     compute_profile(c5, engine)
-    by_name = {s.phase_name: s for s in engine.phases}
+    by_name = {s["name"]: s for s in engine.phases}
     m = c5.edge_count
-    assert by_name["scatter:edge-scalars"].bytes_scattered == m * 4 * 8
-    assert by_name["gather:local-profiles"].bytes_gathered == 2 * m * 4 * 8
+    assert by_name["scatter:edge-scalars"]["bytes_scattered"] == m * 4 * 8
+    assert by_name["gather:local-profiles"]["bytes_gathered"] == 2 * m * 4 * 8

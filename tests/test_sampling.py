@@ -161,10 +161,10 @@ def test_each_run_is_one_phase_keyed_by_seed():
     engine = Engine(1)
     for seed in (5, 9):
         estimate_profile(g, SampleParams(0.5, seed), engine)
-    assert [s.phase_name for s in engine.phases] == ["sampled-run:5", "sampled-run:9"]
+    assert [s["name"] for s in engine.phases] == ["sampled-run:5", "sampled-run:9"]
     for stats, seed in zip(engine.phases, (5, 9)):
         kept = int(sample_mask(g, SampleParams(0.5, seed)).sum())
-        assert (stats.bytes_scattered, stats.bytes_gathered) == (8 * kept, 16 * kept)
+        assert (stats["bytes_scattered"], stats["bytes_gathered"]) == (8 * kept, 16 * kept)
 
 
 def test_mask_is_the_splitmix64_stream():
