@@ -89,8 +89,8 @@ def _build_parser() -> _Parser:
                        help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
                        help="engine workers that share the triangle enumeration's "
-                            "steps, recorded once per report (default: TRIPROF_THREADS or "
-                            "the CPUs this process may use)")
+                            "steps, recorded once per report (default: the CPUs this "
+                            "process may use)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
                        help="mask wall-clock fields and the worker count for byte-stable reports")
@@ -253,11 +253,10 @@ def _cmd_ego(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
 def _cmd_oracle(args, g: UndirectedGraph, engine: Engine, report: dict) -> None:
     report["method"] = "brute-force"
     if args.ego:
-        ids = list(dict.fromkeys(_select_centers(args, g).tolist()))
-        counts = [oracle_mod.brute_force_ego(g, v).as_tuple() for v in ids]
-        _add_ego_table(args, g, ego_mod.EgoTable(np.array(ids, dtype=np.int64),
-                                             np.array(counts, dtype=np.int64).reshape(-1, 4)),
-                   report)
+        ids = ego_mod._dedup_centers(g, _select_centers(args, g))
+        counts = np.array([oracle_mod.brute_force_ego(g, v).as_tuple() for v in ids.tolist()],
+                          dtype=np.int64).reshape(-1, 4)
+        _add_ego_table(args, g, ego_mod.EgoTable(ids, counts), report)
     else:
         report["global"] = oracle_mod.brute_force_profile(g).as_json()
     if args.four_cliques:

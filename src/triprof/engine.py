@@ -8,16 +8,17 @@ triangle enumeration's steps, and exact per-vertex sums of per-edge values.
 Worker w of W takes steps w, w + W, w + 2W, ... in order and adds them into
 int64 accumulators of its own; the main thread adds the W partials. Integer
 sums do not depend on their order, so every result is the same for every
-worker count. W is the worker count (``--threads``, ``TRIPROF_THREADS``,
-else the CPUs this process may use), capped by the step count and the usable
-CPUs. Worker 0 is the calling thread, so with one worker the steps run in a
-plain loop and no thread is started. The triangle enumeration cuts its
-sibling pairs into steps of ``profiles.PAIR_BUDGET`` (2**18) pairs; the
-sorts, searches, gathers and bincounts of a step release the GIL, so the
-workers' steps overlap. On a 2-core VM two workers took ``ego --random
-20000`` on a 1.18M-edge clustered graph from 1.16 to 0.96 s and ``profile``
-on a 1.25M-edge skewed graph from 0.97 to 0.85 s (medians of 10 alternating
-CLI calls).
+worker count. W is the engine's worker count, capped by the step count and
+the usable CPUs. ``Engine(workers)`` (the CLI's ``--threads``) is the one
+source of that count; ``Engine()`` takes the CPUs this process may use, and
+no environment variable is read. Worker 0 is the calling thread, so with one
+worker the steps run in a plain loop and no thread is started. The triangle
+enumeration cuts its sibling pairs into steps of ``profiles.PAIR_BUDGET``
+(2**18) pairs; the sorts, searches, gathers and bincounts of a step release
+the GIL, so the workers' steps overlap. On a 2-core VM two workers took
+``ego --random 20000`` on a 1.18M-edge clustered graph from 1.16 to 0.96 s
+and ``profile`` on a 1.25M-edge skewed graph from 0.97 to 0.85 s (medians
+of 10 alternating CLI calls).
 
 ``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
 value array per endpoint side, in float64 bincounts over the canonical edges,
@@ -40,24 +41,9 @@ import numpy as np
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
 
-ENV_THREADS = "TRIPROF_THREADS"
-
 # float64 holds every integer up to 2**53 exactly, so endpoint_sums'
 # weighted bincounts are exact while every sum stays below it.
 BINCOUNT_EXACT_LIMIT = 2 ** 53
-
-
-def default_worker_count() -> int:
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise UsageError(f"{ENV_THREADS} must be at least 1, got {workers}")
-        return workers
-    return usable_cpus()
 
 
 def usable_cpus() -> int:
@@ -74,7 +60,7 @@ class Engine:
     order the phases' blocks ended."""
 
     def __init__(self, workers: int | None = None):
-        self.workers = default_worker_count() if workers is None else int(workers)
+        self.workers = usable_cpus() if workers is None else int(workers)
         if self.workers < 1:
             raise UsageError(f"worker count (--threads) must be at least 1, got {workers}")
         self.phases: list[dict] = []

@@ -50,9 +50,9 @@ def _classify_triples(mat: np.ndarray):
             yield a, b, row_a[b + 1:], mat[b, b + 1:], bool(row_a[b])
 
 
-def brute_force_profile(g: UndirectedGraph, cap: int = PROFILE_CAP) -> ProfileVector:
+def brute_force_profile(g: UndirectedGraph) -> ProfileVector:
     """Exact profile by classifying every vertex triple by its edge count."""
-    mat = _dense_adjacency(g, cap, "brute-force profile")
+    mat = _dense_adjacency(g, PROFILE_CAP, "brute-force profile")
     counts = [0, 0, 0, 0]
     for a, b, ca, cb, e_ab in _classify_triples(mat):
         k = ca.astype(np.int64) + cb + int(e_ab)
@@ -62,9 +62,9 @@ def brute_force_profile(g: UndirectedGraph, cap: int = PROFILE_CAP) -> ProfileVe
     return ProfileVector(*counts)
 
 
-def brute_force_local(g: UndirectedGraph, cap: int = PROFILE_CAP) -> LocalProfile:
+def brute_force_local(g: UndirectedGraph) -> LocalProfile:
     """Per-vertex census: classify each triple by the member's degree within it."""
-    mat = _dense_adjacency(g, cap, "brute-force local profile")
+    mat = _dense_adjacency(g, PROFILE_CAP, "brute-force local profile")
     n = g.vertex_count
     n0 = np.zeros(n, dtype=np.int64)
     n1_e = np.zeros(n, dtype=np.int64)
@@ -137,24 +137,27 @@ def brute_force_local(g: UndirectedGraph, cap: int = PROFILE_CAP) -> LocalProfil
     return LocalProfile(n0, n1_e, n1_d, n2_e, n2_c, n3)
 
 
-def brute_force_ego(g: UndirectedGraph, v: int,
-                    degree_cap: int = EGO_DEGREE_CAP) -> EgoProfile:
+def brute_force_ego(g: UndirectedGraph, v: int) -> EgoProfile:
     """Classify the triples among v's neighbors by edges among them, on the
-    d x d adjacency matrix of v's d neighbors."""
+    d x d adjacency matrix of v's d neighbors. The matrix is filled from the
+    neighbors' own adjacency rows, each entry mapped into 0..d-1 by its
+    place in v's sorted neighbor list, so a call reads only v's
+    neighborhood."""
     if not 0 <= v < g.vertex_count:
         raise UsageError(f"center out of range: {v}")
     nb = g.neighbors(v)
-    if len(nb) > degree_cap:
-        raise UsageError(
-            f"brute-force ego is capped at degree {degree_cap}, got {len(nb)}")
     d = len(nb)
-    local = np.full(g.vertex_count, -1, dtype=np.int64)
-    local[nb] = np.arange(d)
-    iu, iw = local[g.edge_u], local[g.edge_w]
-    inside = (iu >= 0) & (iw >= 0)
+    if d > EGO_DEGREE_CAP:
+        raise UsageError(f"brute-force ego is capped at degree {EGO_DEGREE_CAP}, got {d}")
+    lengths = g.degrees[nb]
+    # the CSR positions of the neighbors' rows, one row after another
+    skip = g.indptr[nb] - (np.cumsum(lengths) - lengths)
+    cols = g.indices[np.arange(lengths.sum()) + np.repeat(skip, lengths)]
+    rows = np.repeat(np.arange(d), lengths)
+    at = np.minimum(np.searchsorted(nb, cols), d - 1)
+    inside = nb[at] == cols
     sub = np.zeros((d, d), dtype=bool)
-    sub[iu[inside], iw[inside]] = True
-    sub |= sub.T
+    sub[rows[inside], at[inside]] = True
     counts = [0, 0, 0, 0]
     for i in range(d - 2):
         for j in range(i + 1, d - 1):
@@ -165,9 +168,9 @@ def brute_force_ego(g: UndirectedGraph, v: int,
     return EgoProfile(*counts)
 
 
-def brute_force_four_cliques(g: UndirectedGraph, cap: int = FOUR_CLIQUE_CAP) -> int:
+def brute_force_four_cliques(g: UndirectedGraph) -> int:
     """Count complete 4-vertex subgraphs by ordered extension of triangles."""
-    mat = _dense_adjacency(g, cap, "brute-force 4-clique count")
+    mat = _dense_adjacency(g, FOUR_CLIQUE_CAP, "brute-force 4-clique count")
     n = g.vertex_count
     count = 0
     for a in range(n - 3):

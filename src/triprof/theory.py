@@ -207,9 +207,6 @@ class TheoremReport:
     log_base: float
     error_bound: float
     confidence: float
-    a1: float = A1
-    a2: float = A2
-    a3: float = A3
 
     def as_json(self) -> dict:
         return {
@@ -221,7 +218,7 @@ class TheoremReport:
             "log_base": self.log_base,
             "error_bound": self.error_bound,
             "confidence": self.confidence,
-            "constants": {"a1": self.a1, "a2": self.a2, "a3": self.a3},
+            "constants": {"a1": A1, "a2": A2, "a3": A3},
         }
 
 

@@ -131,11 +131,6 @@ class TestHostileInput:
         assert main(["profile", k4_file, "--threads", workers]) == 1
         assert "at least 1" in self.one_line_error(capsys)
 
-    def test_env_threads_zero(self, capsys, k4_file, monkeypatch):
-        monkeypatch.setenv("TRIPROF_THREADS", "0")
-        assert main(["profile", k4_file]) == 1
-        assert "TRIPROF_THREADS" in self.one_line_error(capsys)
-
     def test_non_utf8_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"0 1\n1 caf\xe9\n")
@@ -280,11 +275,6 @@ class TestHostileInput:
         assert main([argv[0], missing, *argv[1:]]) == 1
         self.one_line_error(capsys)
 
-    def test_env_threads_refused_before_graph_is_read(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIPROF_THREADS", "0")
-        assert main(["profile", str(tmp_path / "missing.txt")]) == 1
-        assert "TRIPROF_THREADS" in self.one_line_error(capsys)
-
     @pytest.mark.parametrize("param", [
         ["--epsilon", "1e-200", "--gamma", "1"],
         ["--epsilon", "0.1", "--gamma", "1e300"],
@@ -428,6 +418,20 @@ class TestOracleCommand:
         assert code == 0
         assert report["egos"][0] == ["0", 0, 0, 0, 1]
         assert report["four_cliques"] == 1
+
+    @pytest.mark.parametrize("argv, star, size, message", [
+        ([], False, 257, "brute-force profile is capped at 256 vertices, got 257"),
+        (["--four-cliques"], False, 129,
+         "brute-force 4-clique count is capped at 128 vertices, got 129"),
+        (["--ego", "--all"], True, 258, "brute-force ego is capped at degree 256, got 257"),
+    ])
+    def test_caps_are_usage_errors(self, capsys, tmp_path, argv, star, size, message):
+        """One past each brute-force cap (a path, or a star whose center 0 has
+        degree 257) exits 1 with one stderr line naming the cap."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("".join(f"{0 if star else i - 1} {i}\n" for i in range(1, size)))
+        assert main(["oracle", str(graph), *argv]) == 1
+        assert capsys.readouterr().err == f"triprof: usage error: {message}\n"
 
 
 class TestSparsifierCheckCommand:

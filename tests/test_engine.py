@@ -138,41 +138,32 @@ def test_byte_counters_identical_across_worker_counts():
     assert counters[0] == counters[1]
 
 
-def test_env_thread_fallback(monkeypatch):
-    monkeypatch.setenv("TRIPROF_THREADS", "3")
-    assert Engine().workers == 3
-    monkeypatch.setenv("TRIPROF_THREADS", "junk")
-    with pytest.raises(UsageError):
-        Engine()
-
-
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_rejected(workers):
     with pytest.raises(UsageError, match="at least 1"):
         Engine(workers)
 
 
-def test_env_worker_count_below_one_rejected(monkeypatch):
-    monkeypatch.setenv("TRIPROF_THREADS", "0")
-    with pytest.raises(UsageError, match="TRIPROF_THREADS must be at least 1"):
-        Engine()
-
-
 class TestWorkerCount:
     def test_default_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("TRIPROF_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert Engine().workers == 3
         assert engine.usable_cpus() == 3
 
     def test_default_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("TRIPROF_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert Engine().workers == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert Engine().workers == 1
+
+    def test_environment_sets_no_worker_count(self, monkeypatch, k4):
+        """Only ``Engine(workers)`` sets the count: a variable in the
+        environment, however malformed, changes nothing."""
+        monkeypatch.setenv("TRIPROF_THREADS", "junk")
+        assert Engine().workers == engine.usable_cpus()
+        assert compute_profile(k4)[0].as_tuple() == (0, 0, 0, 4)
 
 
 class CountingThread(threading.Thread):
@@ -337,3 +328,19 @@ def test_one_phase_clock():
         visit(ast.parse(path.read_text()), path.name, "")
     assert importers == {file for file, _ in allowed}
     assert found == {(file, scope, "perf_counter") for file, scope in allowed}
+
+
+def test_environment_read_only_for_the_blas_default():
+    """No run setting comes from the environment: under ``src/triprof`` the
+    one use of ``os.environ`` or ``os.getenv`` is ``__init__.py``'s
+    OPENBLAS_NUM_THREADS default."""
+    names = {"environ", "getenv"}
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in names):
+                found.append((path.name, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, a.name) for a in node.names if a.name in names]
+    assert found == [("__init__.py", "environ")]

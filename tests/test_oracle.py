@@ -10,7 +10,7 @@ from triprof import UndirectedGraph, UsageError, ego_parallel
 from triprof.oracle import (brute_force_ego, brute_force_four_cliques,
                             brute_force_local, brute_force_profile)
 
-from conftest import complete_graph, er_graph, star_graph
+from conftest import chung_lu, community_graph, complete_graph, er_graph, star_graph
 
 
 class TestProfile:
@@ -96,6 +96,26 @@ class TestEgo:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
         assert got.as_tuple() == tuple(ego_parallel(g, [5]).counts[0]) == (0, 2, 2, 0)
+
+    @pytest.mark.parametrize("build", [lambda: community_graph(600, 2400, seed=8),
+                                       lambda: chung_lu(200, 900, 1.8, seed=2)],
+                             ids=["clustered", "skewed"])
+    def test_reads_only_the_neighborhood(self, build, monkeypatch):
+        """Each call reads the CSR rows of the center's neighbors and no
+        canonical edge array: with ``edge_u`` and ``edge_w`` raising once the
+        CSR is built, every center still equals ``ego_parallel``."""
+        g = build()
+        want = ego_parallel(g, range(g.vertex_count)).counts
+        g.indptr  # builds the CSR, which reads the canonical edges
+
+        def unreadable(graph):
+            raise AssertionError("brute_force_ego read a canonical edge array")
+
+        monkeypatch.setattr(UndirectedGraph, "edge_u", property(unreadable))
+        monkeypatch.setattr(UndirectedGraph, "edge_w", property(unreadable))
+        got = [brute_force_ego(g, v).as_tuple() for v in range(g.vertex_count)]
+        assert g.degrees.max() > 10
+        assert np.array_equal(np.array(got, dtype=np.int64), want)
 
 
 class TestFourCliques:

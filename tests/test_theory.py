@@ -90,9 +90,10 @@ class TestTheoremConditions:
                                           k4.edge_count, 0.5, 0.1, 1.0)
         assert report.error_bound == 12 * 0.1 * math.comb(4, 3)
         assert report.confidence == 1 - 1 / 6
-        assert report.a1 == 8
-        assert report.a2 == pytest.approx(64 * math.sqrt(2))
-        assert report.a3 == pytest.approx(512 * math.sqrt(6))
+        constants = report.as_json()["constants"]
+        assert constants["a1"] == 8
+        assert constants["a2"] == pytest.approx(64 * math.sqrt(2))
+        assert constants["a3"] == pytest.approx(512 * math.sqrt(6))
 
     def test_log_base_two_loosens_thresholds(self, c5):
         prof, _ = compute_profile(c5)
