@@ -89,8 +89,8 @@ def _build_parser() -> _Parser:
                        help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
                        help="engine workers that share the triangle enumeration's "
-                            "steps, recorded once per report (default: the CPUs this "
-                            "process may use)")
+                            "steps and the sampled runs, recorded once per report "
+                            "(default: the CPUs this process may use)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
                        help="mask wall-clock fields and the worker count for byte-stable reports")
@@ -207,17 +207,29 @@ def _cmd_profile(args, g: UndirectedGraph, engine: Engine, report: dict) -> None
 
     if args.p < 1.0:
         report["sampling"] = {"p": args.p, "seed": args.seed, "runs": args.runs}
+        seeds = [(args.seed + s) % 2 ** 64 for s in range(args.runs)]
+        results: list = [None] * args.runs  # (estimate, phases) per seed
+
+        def run(acc, s: int) -> None:
+            # the runs share the workers; one run alone still splits its count
+            inner = Engine(max(1, engine.workers // args.runs))
+            params = sampling.SampleParams(args.p, seeds[s])
+            results[s] = sampling.estimate_profile(g, params, inner, o)[0], inner.phases
+
+        # the runs overlap, so this phase's seconds are the wall time of them all
+        with engine.phase("sampled-runs"):
+            engine.sum_steps(args.runs, [], run)
+            for _, log in results:
+                engine.phases.extend(log)
         runs = []
-        for i in range(args.runs):
-            params = sampling.SampleParams(args.p, (args.seed + i) % 2 ** 64)
-            estimate, _ = sampling.estimate_profile(g, params, engine, o)
+        for seed, (estimate, _) in zip(seeds, results):
             vals = estimate.as_floats()
-            runs.append({"seed": params.seed,
+            runs.append({"seed": seed,
                          "estimate": dict(zip(("n0", "n1", "n2", "n3"), vals))})
             for name, val in zip(("n0", "n1", "n2", "n3"), vals):
                 if val < 0:
                     warnings.append(
-                        f"run seed={params.seed}: negative estimate for {name} "
+                        f"run seed={seed}: negative estimate for {name} "
                         "(sampling noise, reported unclamped)")
         report["runs"] = runs
         per_entry = list(zip(*(tuple(r["estimate"].values()) for r in runs)))

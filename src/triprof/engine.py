@@ -20,6 +20,12 @@ the GIL, so the workers' steps overlap. On a 2-core VM two workers took
 and ``profile`` on a 1.25M-edge skewed graph from 0.97 to 0.85 s (medians
 of 10 alternating CLI calls).
 
+The sampled runs of ``profile --p`` are steps too, one run each: a run at
+p = 0.3 keeps so few sibling pairs that its enumeration is one step, which
+no worker count splits. Each run counts on an ``Engine`` of its own with
+``workers // runs`` workers (at least one), so a single run still splits its
+enumeration across every worker.
+
 ``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
 value array per endpoint side, in float64 bincounts over the canonical edges,
 and checks on its result that every sum stayed exact.

@@ -103,7 +103,7 @@ class Orientation(NamedTuple):
 
     n: int
     rank: np.ndarray     # vertex id -> rank
-    order: np.ndarray    # sorted position -> edge id
+    order: np.ndarray | None  # sorted position -> edge id; None on a masked view
     keys: np.ndarray
     src: np.ndarray      # rank of each sorted position's tail
     dst: np.ndarray      # rank of its head
@@ -298,14 +298,18 @@ def masked_profile(o: Orientation, mask: np.ndarray,
         raise UsageError(f"mask has {len(mask)} entries for {m} edges")
     kept = np.flatnonzero(np.asarray(mask)[o.order])
     src, dst = o.src[kept], o.dst[kept]
-    out_deg = np.bincount(src, minlength=n)
-    view = Orientation(n, o.rank, o.order[kept], o.keys[kept], src, dst, _bounds(out_deg))
+    deg = np.bincount(src, minlength=n)
+    out_ptr = _bounds(deg)
+    deg += np.bincount(dst, minlength=n)  # the kept degrees: out plus in
+    # the count reads no edge ids, so the view gathers no o.order[kept]
+    view = Orientation(n, o.rank, None, o.keys[kept], src, dst, out_ptr)
+    del kept  # the count reads only the view
 
     def count(acc, i, j, k):
         acc[0] += len(k)
 
     n3, = _triangle_steps(view, engine or Engine(), [()], count)
-    return _profile_from_degrees(out_deg + np.bincount(dst, minlength=n), len(kept), int(n3))
+    return _profile_from_degrees(deg, len(view.keys), int(n3))
 
 
 def _profile_from_degrees(deg: np.ndarray, m: int, n3: int) -> ProfileVector:

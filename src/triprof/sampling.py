@@ -12,6 +12,7 @@ checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from .profiles import Orientation, ProfileVector, masked_profile, orient
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK_BLOCK = 2 ** 16  # edges mixed at a time
 
 
 @dataclass(frozen=True)
@@ -42,30 +44,32 @@ class SampleParams:
             raise UsageError("seed must fit in 64 bits")
 
 
-def _uniform01(seed: int, count: int) -> np.ndarray:
-    """Uniform [0,1) value per index 0..count-1, a pure function of (seed, index).
-
-    The mixing runs in place on one uint64 array, so a mask over every edge
-    holds few edge-length temporaries beside the graph and its orientation.
-    """
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z *= _GAMMA
-        z += np.uint64(seed)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    out = z.astype(np.float64)
-    out *= 1.0 / (1 << 53)
-    return out
-
-
 def sample_mask(g: UndirectedGraph, params: SampleParams) -> np.ndarray:
-    """Per-edge keep decisions; replaying the same seed is bit-identical."""
-    return _uniform01(params.seed, g.edge_count) < params.p
+    """Per-edge keep decisions; replaying the same seed is bit-identical.
+
+    Edge e is kept when the top 53 bits of splitmix64(seed + (e + 1) * gamma)
+    are below ceil(p * 2**53), the same decision as their value scaled by
+    2**-53 being below p, since the scaling and the integer compare are both
+    exact. The mixing runs in place on blocks of _MASK_BLOCK edges, so no
+    edge-length uint64 array is held beside the mask.
+    """
+    m = g.edge_count
+    below = np.uint64(math.ceil(params.p * 2 ** 53))
+    mask = np.empty(m, dtype=bool)
+    for lo in range(0, m, _MASK_BLOCK):
+        hi = min(lo + _MASK_BLOCK, m)
+        z = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z *= _GAMMA
+            z += np.uint64(params.seed)
+            z ^= z >> np.uint64(30)
+            z *= _MIX1
+            z ^= z >> np.uint64(27)
+            z *= _MIX2
+            z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        np.less(z, below, out=mask[lo:hi])
+    return mask
 
 
 def subgraph_from_mask(g: UndirectedGraph, mask: np.ndarray) -> UndirectedGraph:

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestProfileCommand:
                                "--seed", "7", "--runs", "3", "--no-timing")
         assert code == 0
         assert [ph["name"] for ph in report["phases"]] == [
-            "load", "sampled-run:7", "sampled-run:8", "sampled-run:9"]
+            "load", "sampled-run:7", "sampled-run:8", "sampled-run:9", "sampled-runs"]
 
     @pytest.mark.parametrize("extra", [["--compare-exact"], ["--local-tsv", "local.tsv"]])
     def test_exact_and_sampled_share_one_orientation(self, capsys, c5_file, tmp_path,
@@ -545,6 +546,61 @@ class TestDeterminism:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["command"] == argv[0]
+
+    @pytest.mark.parametrize("runs", ["1", "2", "3", "5"])
+    def test_sampled_runs_identical_across_worker_counts(self, capsys, tmp_path, monkeypatch,
+                                                         runs):
+        """Fewer, as many and more runs than workers: the runs, their
+        enumeration steps of 7 pairs and their phases give one report."""
+        from triprof import engine, profiles
+
+        graph = tmp_path / "skewed.txt"
+        chung_lu(200, 1200, 1.6, seed=8).write_edge_list(graph)
+        monkeypatch.setattr(profiles, "PAIR_BUDGET", 7)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 3)
+        reports = []
+        for workers in ("1", "2", "3"):
+            assert main(["profile", str(graph), "--p", "0.4", "--seed", "11", "--runs", runs,
+                         "--compare-exact", "--no-timing", "--threads", workers]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] == reports[2]
+        assert len(json.loads(reports[0])["runs"]) == int(runs)
+
+    def test_one_sampled_run_splits_its_count(self, capsys, c5_file, monkeypatch):
+        """With one run, the run's own count still reaches sum_steps on an
+        engine of every worker."""
+        from triprof.engine import Engine
+
+        calls, real = [], Engine.sum_steps
+
+        def spy(self, steps, shapes, add_step):
+            calls.append((self.workers, list(shapes)))
+            return real(self, steps, shapes, add_step)
+
+        monkeypatch.setattr(Engine, "sum_steps", spy)
+        assert main(["profile", c5_file, "--p", "0.9", "--runs", "1", "--threads", "2"]) == 0
+        capsys.readouterr()
+        assert calls == [(2, []), (2, [()])]
+
+    def test_run_failing_on_a_worker_thread_exits_2(self, capsys, c5_file, monkeypatch):
+        from triprof import engine, sampling
+
+        real, threads = sampling.estimate_profile, []
+
+        def failing(g, params, *args):
+            if params.seed == 8:
+                threads.append(threading.current_thread())
+                raise IntegrityError("run 8 went wrong")
+            return real(g, params, *args)
+
+        monkeypatch.setattr(sampling, "estimate_profile", failing)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        assert main(["profile", c5_file, "--p", "0.5", "--seed", "7", "--runs", "2",
+                     "--threads", "2"]) == 2
+        captured = capsys.readouterr()
+        assert threads and threads[0] is not threading.main_thread()
+        assert captured.err == "triprof: run 8 went wrong\n"
+        assert captured.out == ""
 
     def test_ego_reports_identical_across_worker_counts(self, capsys, k4_file):
         reports = []

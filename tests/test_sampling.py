@@ -167,9 +167,15 @@ def test_each_run_is_one_phase_keyed_by_seed():
         assert (stats["bytes_scattered"], stats["bytes_gathered"]) == (8 * kept, 16 * kept)
 
 
-def test_mask_is_the_splitmix64_stream():
+def test_mask_is_the_splitmix64_stream(monkeypatch):
     """Edge e is kept when (splitmix64(seed + (e + 1) * gamma) >> 11) / 2**53 < p;
-    the reference below uses Python ints, so the vectorized stream cannot drift."""
+    the reference below uses Python ints, so the vectorized stream cannot drift.
+    The mask compares integers, so p = 1, the smallest double, multiples of
+    2**-53 (among them edges' own values, which must be dropped), a value
+    half a step above an edge's (which must be kept) and masks spanning
+    several blocks are checked too."""
+    from triprof import sampling
+
     def uniform(seed, e):
         z = (seed + (e + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
@@ -177,7 +183,13 @@ def test_mask_is_the_splitmix64_stream():
         return ((z ^ (z >> 31)) >> 11) / 2 ** 53
 
     g = er_graph(40, 0.3, np.random.default_rng(25))
-    for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
-        for p in (0.3, 0.9):
-            expect = [uniform(seed, e) < p for e in range(g.edge_count)]
-            assert sample_mask(g, SampleParams(p, seed)).tolist() == expect
+    assert g.edge_count > 3 * 7
+    for block in (sampling._MASK_BLOCK, 7):
+        monkeypatch.setattr(sampling, "_MASK_BLOCK", block)
+        for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
+            values = [uniform(seed, e) for e in range(g.edge_count)]
+            for p in (0.3, 0.9, 1.0, 5e-324, 0.5 / 2 ** 52, (2 ** 51 + 0.5) / 2 ** 52,
+                      (2 ** 52 - 0.5) / 2 ** 52, values[3], max(values),
+                      min(values) + 2 ** -54):
+                expect = [v < p for v in values]
+                assert sample_mask(g, SampleParams(p, seed)).tolist() == expect
