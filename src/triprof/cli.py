@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ego as ego_mod
+from . import engine as engine_mod
 from . import oracle as oracle_mod
 from . import sampling, theory
 from .engine import Engine
@@ -211,8 +212,8 @@ def _cmd_profile(args, g: UndirectedGraph, engine: Engine, report: dict) -> None
         results: list = [None] * args.runs  # (estimate, phases) per seed
 
         def run(acc, s: int) -> None:
-            # the runs share the workers; one run alone still splits its count
-            inner = Engine(max(1, engine.workers // args.runs))
+            # the runs share the workers, at most the CPUs; one run alone splits its count
+            inner = Engine(max(1, min(engine.workers, engine_mod.usable_cpus()) // args.runs))
             params = sampling.SampleParams(args.p, seeds[s])
             results[s] = sampling.estimate_profile(g, params, inner, o)[0], inner.phases
 

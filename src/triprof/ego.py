@@ -21,7 +21,7 @@ import numpy as np
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
-from .profiles import Orientation, _bounds, _lookup, _ragged_steps, _triangle_steps, orient
+from .profiles import Orientation, _ends, _lookup, _ragged_steps, _triangle_steps, _view, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -100,8 +100,8 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
 
     - a triangle with a center among a, b, c is extended over c's full
       out-list, and each clique found counts at a, b, c and d;
-    - any other triangle is extended only over the centers in c's out-list,
-      and each clique found counts at d, the one center it has.
+    - any other triangle only over c's out-list in the view of the edges
+      into centers, and each clique found counts at d, its one center.
 
     With every vertex a center, the restricted out-lists are never walked.
     """
@@ -109,23 +109,18 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
     o = orient(g)
     is_center = np.zeros(n, dtype=bool)
     is_center[o.rank[centers]] = True
-    # the out-lists restricted to center heads: kept positions of the sorted
-    # keys stay sorted, so only the pointers are rebuilt
-    to_center = is_center[o.dst]
-    heads = o.dst[to_center]
-    center_ptr = _bounds(np.bincount(o.src[to_center], minlength=n))
-    del to_center
+    to_centers = _view(o, np.flatnonzero(is_center[_ends(o.keys, n)[1]]))  # edges into centers
 
     def extend(acc, i, j, k):
         hits, count = acc
         hits += np.bincount(np.concatenate([i, j, k]), minlength=m)
-        a, b, c = o.src[i], o.dst[i], o.dst[j]
+        (a, b), c = _ends(o.keys[i], n), _ends(o.keys[j], n)[1]
         del i, j, k
         touched = is_center[a] | is_center[b] | is_center[c]
-        for t, d in _extensions(o, a, b, c, touched, o.out_ptr, o.dst):
+        for t, d in _extensions(o, a, b, c, touched):
             count += np.bincount(np.concatenate([a[t], b[t], c[t], d]), minlength=n)
         np.logical_not(touched, out=touched)
-        for _, d in _extensions(o, a, b, c, touched, center_ptr, heads):
+        for _, d in _extensions(to_centers, a, b, c, touched):
             count += np.bincount(d, minlength=n)
 
     hits, count = _triangle_steps(o, engine, [m, n], extend)
@@ -134,18 +129,19 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
     return tri, count[o.rank[centers]]
 
 
-def _extensions(o: Orientation, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                use: np.ndarray, ptr: np.ndarray, heads: np.ndarray):
+def _extensions(o: Orientation, a: np.ndarray, b: np.ndarray, c: np.ndarray, use: np.ndarray):
     """Yield (t, d) arrays: each triangle t = (a[t], b[t], c[t]) with use[t]
-    and each d in its out-list heads[ptr[c[t]]:ptr[c[t] + 1]] that closes a
-    4-clique with it, at most EXTENSION_BUDGET candidates checked per step.
+    and each head d of c's out-list in ``o`` that closes a 4-clique with it,
+    at most EXTENSION_BUDGET candidates checked per step. ``o`` is the full
+    orientation or its view of the edges into centers, which holds the edges
+    a -> d and b -> d as well.
 
     The other triangles get empty out-lists rather than being copied out, so
     a step holds no second set of triangle arrays.
     """
-    n = np.int64(o.n)
+    n, ptr = np.int64(o.n), o.out_ptr
     for t, offset in _ragged_steps(np.where(use, ptr[c + 1] - ptr[c], 0), EXTENSION_BUDGET):
-        d = heads[ptr[c[t]] + offset]
+        d = _ends(o.keys[ptr[c[t]] + offset], n)[1]
         del offset
         # b -> d first: the triangles are sorted by b -> c, so these queries
         # sweep the keys forward

@@ -23,8 +23,8 @@ of 10 alternating CLI calls).
 The sampled runs of ``profile --p`` are steps too, one run each: a run at
 p = 0.3 keeps so few sibling pairs that its enumeration is one step, which
 no worker count splits. Each run counts on an ``Engine`` of its own with
-``workers // runs`` workers (at least one), so a single run still splits its
-enumeration across every worker.
+min(workers, usable CPUs) // runs workers (at least one), so nested passes
+start no more workers than CPUs and a single run still splits its count.
 
 ``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
 value array per endpoint side, in float64 bincounts over the canonical edges,

@@ -99,20 +99,18 @@ def _exact_sum(arr: np.ndarray) -> int:
 
 class Orientation(NamedTuple):
     """Edges pointed from the lower- to the higher-ranked endpoint, vertices
-    ranked by (degree, id), packed as int64 keys src*n + dst and sorted once."""
+    ranked by (degree, id), packed as int64 keys and sorted once."""
 
     n: int
     rank: np.ndarray     # vertex id -> rank
-    order: np.ndarray | None  # sorted position -> edge id; None on a masked view
-    keys: np.ndarray
-    src: np.ndarray      # rank of each sorted position's tail
-    dst: np.ndarray      # rank of its head
+    order: np.ndarray | None  # sorted position -> edge id; None on a view
+    keys: np.ndarray     # tail*n + head, split by _ends where a step reads them
     out_ptr: np.ndarray  # rank r's out-list holds positions out_ptr[r]:out_ptr[r + 1]
 
 
 def orient(g: UndirectedGraph) -> Orientation:
-    """The orientation every triangle enumeration starts from. Build it once
-    and pass it along when one command enumerates the same graph again."""
+    """The orientation every triangle enumeration starts from, 8(2|E| + 2|V| + 1)
+    bytes. Build it once and pass it along when a command enumerates again."""
     n = g.vertex_count
     check_key_packing(n)
     deg = g.degrees
@@ -124,8 +122,21 @@ def orient(g: UndirectedGraph) -> Orientation:
     keys = np.minimum(ru, rw) * np.int64(n) + np.maximum(ru, rw)
     del ru, rw
     keys, order = _value_sort(keys, max(n * n - 1, 0).bit_length())
-    src, dst = np.divmod(keys, n)
-    return Orientation(n, rank, order, keys, src, dst, _bounds(np.bincount(src, minlength=n)))
+    return Orientation(n, rank, order, keys, _bounds(np.bincount(keys // n, minlength=n)))
+
+
+def _ends(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the keys tail*n + head: heads = key - (key // n)*n, in place."""
+    tails = keys // n
+    heads = tails * n
+    np.subtract(keys, heads, out=heads)
+    return tails, heads
+
+
+def _view(o: Orientation, positions: np.ndarray) -> Orientation:
+    """``o`` on the sorted ``positions`` only: the kept keys and rebuilt pointers."""
+    n, keys = o.n, o.keys[positions]
+    return Orientation(n, o.rank, None, keys, _bounds(np.bincount(keys // n, minlength=n)))
 
 
 def _value_sort(values: np.ndarray, vbits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,15 +197,6 @@ def _ragged_step(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.n
     return item, np.arange(lo, hi) - bounds[item]
 
 
-def _pair_positions(bounds: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (p, q) of the sibling pairs lo <= e < hi, where position p
-    is paired with its bounds[p + 1] - bounds[p] later siblings in turn."""
-    p, q = _ragged_step(bounds, lo, hi)
-    q += p  # offsets become positions in place: a step holds two arrays, not three
-    q += 1
-    return p, q
-
-
 def _packed_order(query: np.ndarray, qbits: int) -> np.ndarray:
     """A permutation that sorts ``query`` (values below 2**qbits), from one
     value sort of the packed int64 values (query << ibits) | index, where
@@ -229,32 +231,39 @@ def _triangle_steps(o: Orientation, engine: Engine, shapes, consume) -> list[np.
     instead of probing them at random; its pairs are freed before
     ``consume`` works on its triangles.
     """
-    bounds = _bounds(o.out_ptr[o.src + 1] - np.arange(1, len(o.src) + 1))
+    bounds = o.keys // o.n + 1  # tails + 1 cost |E|, where a diff of out_ptr costs |V|
+    np.take(o.out_ptr, bounds, out=bounds, mode="clip")  # in place: one |E| array fewer
+    bounds -= np.arange(1, len(bounds) + 1)  # each position's later siblings
+    bounds = _bounds(bounds)  # rebinding frees them
     total, budget = int(bounds[-1]), PAIR_BUDGET
     qbits = (o.n * o.n - 1).bit_length()  # of the largest key, n**2 - 1
 
     def add_step(acc: list[np.ndarray], s: int) -> None:
         lo = s * budget
-        consume(acc, *_closing_edges(o, qbits, _pair_positions(bounds, lo,
-                                                               min(lo + budget, total))))
+        p0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+        # positions from p0 on, so a step splits only the keys of its window
+        i, j = _ragged_step(bounds[p0:], lo, min(lo + budget, total))
+        j += i  # offsets become positions in place: a step holds two arrays, not three
+        j += 1
+        consume(acc, *_closing_edges(o, qbits, p0, i, j))
 
     return engine.sum_steps(-(-total // budget), shapes, add_step)
 
 
-def _closing_edges(o: Orientation, qbits: int,
-                   pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The (i, j, k) triangles among one step's sibling pairs (i, j), ordered
-    by their closing-edge keys (by the keys' high bits when _packed_order
-    coarsens them)."""
-    i, j = pairs
-    query = o.dst[i] * np.int64(o.n) + o.dst[j]
+def _closing_edges(o: Orientation, qbits: int, p0: int, i: np.ndarray,
+                   j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (i, j, k) triangles among one step's sibling pairs (p0 + i, p0 + j),
+    ordered by their closing-edge keys (by the keys' high bits when
+    _packed_order coarsens them)."""
+    query = _ends(o.keys[p0:p0 + int(j.max()) + 1], o.n)[1]  # the heads the step reads
+    query = query[i] * o.n + query[j]
     s = _packed_order(query, qbits)
     query = query[s]  # each rebinding frees an array as soon as its copy is made
     k, found = _lookup(o.keys, query)
     del query
     k = k[found]
     s = s[found]
-    return i[s], j[s], k
+    return i[s] + p0, j[s] + p0, k
 
 
 def edge_triangle_counts(g: UndirectedGraph, engine: Engine | None = None,
@@ -286,24 +295,18 @@ def masked_profile(o: Orientation, mask: np.ndarray,
     entry per edge id) on all o.n vertices, counted on a masked view of the
     full graph's orientation ``o`` without building that graph.
 
-    The kept positions of the sorted keys stay sorted, so only the out-list
-    pointers are rebuilt. Triangles are enumerated on that view as in
-    edge_triangle_counts and only counted; every other entry follows from the
-    kept degrees and the kept edge count (``_profile_from_degrees``). The
-    work is the kept sibling pairs, about p**2 of the full graph's when each
-    edge is kept with probability p.
+    The view (``_view``) gathers only the kept keys and their out-list
+    pointers. Triangles are enumerated on it as in edge_triangle_counts and
+    only counted; every other entry follows from the kept degrees and the
+    kept edge count (``_profile_from_degrees``). The work is the kept sibling
+    pairs, about p**2 of the full graph's when each edge is kept with
+    probability p.
     """
     n, m = o.n, len(o.keys)
     if len(mask) != m:
         raise UsageError(f"mask has {len(mask)} entries for {m} edges")
-    kept = np.flatnonzero(np.asarray(mask)[o.order])
-    src, dst = o.src[kept], o.dst[kept]
-    deg = np.bincount(src, minlength=n)
-    out_ptr = _bounds(deg)
-    deg += np.bincount(dst, minlength=n)  # the kept degrees: out plus in
-    # the count reads no edge ids, so the view gathers no o.order[kept]
-    view = Orientation(n, o.rank, None, o.keys[kept], src, dst, out_ptr)
-    del kept  # the count reads only the view
+    view = _view(o, np.flatnonzero(np.asarray(mask)[o.order]))
+    deg = np.diff(view.out_ptr) + np.bincount(_ends(view.keys, n)[1], minlength=n)  # out + in
 
     def count(acc, i, j, k):
         acc[0] += len(k)

@@ -569,6 +569,7 @@ class TestDeterminism:
     def test_one_sampled_run_splits_its_count(self, capsys, c5_file, monkeypatch):
         """With one run, the run's own count still reaches sum_steps on an
         engine of every worker."""
+        from triprof import engine
         from triprof.engine import Engine
 
         calls, real = [], Engine.sum_steps
@@ -578,9 +579,31 @@ class TestDeterminism:
             return real(self, steps, shapes, add_step)
 
         monkeypatch.setattr(Engine, "sum_steps", spy)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
         assert main(["profile", c5_file, "--p", "0.9", "--runs", "1", "--threads", "2"]) == 0
         capsys.readouterr()
         assert calls == [(2, []), (2, [()])]
+
+    def test_nested_runs_start_no_more_workers_than_cpus(self, capsys, tmp_path, monkeypatch):
+        """Eight workers asked for on two CPUs: the pass of runs starts one
+        thread for the second run, and each run counts on one worker."""
+        from triprof import engine, profiles
+
+        class CountingThread(threading.Thread):
+            started = 0
+
+            def start(self):
+                CountingThread.started += 1
+                super().start()
+
+        graph = tmp_path / "skewed.txt"
+        chung_lu(200, 1200, 1.6, seed=5).write_edge_list(graph)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(profiles, "PAIR_BUDGET", 7)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        assert main(["profile", str(graph), "--p", "0.9", "--runs", "2", "--threads", "8"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["runs"]) == 2
+        assert CountingThread.started == 1
 
     def test_run_failing_on_a_worker_thread_exits_2(self, capsys, c5_file, monkeypatch):
         from triprof import engine, sampling

@@ -147,6 +147,51 @@ def test_orientation_same_on_both_sides_of_the_packing_check(name, monkeypatch):
     assert np.array_equal(by_value.rank[np.lexsort((np.arange(n), g.degrees))], np.arange(n))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_orientation_is_its_sorted_keys(name, monkeypatch):
+    """The orientation keeps the ranks, the edge ids, the sorted keys and
+    their out-list pointers, 8(2|E| + 2|V| + 1) bytes, and no tail or head
+    array; a masked run's view holds only the kept keys and their pointers."""
+    g = CASES[name]
+    n, m = g.vertex_count, g.edge_count
+    o = profiles.orient(g)
+    assert profiles.Orientation._fields == ("n", "rank", "order", "keys", "out_ptr")
+    assert sum(a.nbytes for a in o[1:]) == 8 * (2 * m + 2 * n + 1)
+    views, real = [], profiles._triangle_steps
+
+    def spy(view, *args):
+        views.append(view)
+        return real(view, *args)
+
+    monkeypatch.setattr(profiles, "_triangle_steps", spy)
+    mask = np.arange(m) % 3 != 1
+    profiles.masked_profile(o, mask)
+    view, = views
+    kept = o.keys[mask[o.order]]
+    assert view.order is None and view.rank is o.rank and view.n == n
+    assert np.array_equal(view.keys, kept)
+    assert np.array_equal(view.out_ptr, np.searchsorted(kept, np.arange(n + 1) * n))
+    assert view.keys.nbytes + view.out_ptr.nbytes == 8 * (len(kept) + n + 1)
+
+
+def test_kernel_memory_does_not_grow_with_vertices():
+    """On 12 edges padded to a million vertices, a count on a built
+    orientation holds per-edge and per-step arrays only: one |V|-length
+    array, such as tails taken from the out-list pointers, is 8 MiB."""
+    small = CASES["hub-cliques-padded"]
+    g = UndirectedGraph.from_edges(np.stack([small.edge_u, small.edge_w], axis=1),
+                                   vertex_count=10 ** 6)
+    o = profiles.orient(g)
+    tracemalloc.start()
+    try:
+        tri = profiles.edge_triangle_counts(g, orientation=o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tri, brute_edge_triangles(small))
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("budget", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ego_matches_brute_force(name, budget, monkeypatch):
