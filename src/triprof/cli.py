@@ -89,8 +89,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--vertex-count", type=_non_negative, default=None,
                        help="declare |V| larger than the labels seen (isolated vertices)")
         p.add_argument("--threads", type=int, default=None,
-                       help="engine workers that share the triangle enumeration's "
-                            "steps and the sampled runs, recorded once per report "
+                       help="engine workers that share the load's pieces, the "
+                            "triangle enumeration's steps and the sampled runs, "
+                            "recorded once per report "
                             "(default: the CPUs this process may use)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--no-timing", action="store_true",
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         engine = Engine(args.threads)
         started = time.perf_counter()
         with engine.phase("load"):
-            g = load_edge_list(args.graph, vertex_count=args.vertex_count)
+            g = load_edge_list(args.graph, args.vertex_count, engine)
         report = {"command": args.command,
                   "graph": {"path": args.graph, "vertices": g.vertex_count,
                             "edges": g.edge_count}}

@@ -20,8 +20,8 @@ import numpy as np
 
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
-from .graph import UndirectedGraph
-from .profiles import Orientation, _ends, _lookup, _ragged_steps, _triangle_steps, _view, orient
+from .graph import UndirectedGraph, _ends
+from .profiles import Orientation, _lookup, _ragged_steps, _triangle_steps, _view, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.

@@ -26,6 +26,10 @@ no worker count splits. Each run counts on an ``Engine`` of its own with
 min(workers, usable CPUs) // runs workers (at least one), so nested passes
 start no more workers than CPUs and a single run still splits its count.
 
+So are the pieces of an edge-list file above ``graph.PIECE_BYTES``: each
+step tokenizes and keys one piece into a slot of its own, with ``shapes``
+empty, and the numbering runs once on the calling thread afterwards.
+
 ``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
 value array per endpoint side, in float64 bincounts over the canonical edges,
 and checks on its result that every sum stayed exact.
@@ -41,11 +45,14 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IntegrityError, UsageError
-from .graph import UndirectedGraph
+
+if TYPE_CHECKING:  # graph.py imports this module to load in pieces
+    from .graph import UndirectedGraph
 
 # float64 holds every integer up to 2**53 exactly, so endpoint_sums'
 # weighted bincounts are exact while every sum stays below it.

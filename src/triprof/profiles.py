@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import BINCOUNT_EXACT_LIMIT, Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
-from .graph import UndirectedGraph, check_key_packing
+from .graph import UndirectedGraph, _ends, check_key_packing
 
 # Sibling pairs checked per step of the triangle enumeration. Every step but
 # the last holds exactly this many, so the engine's workers get equal steps,
@@ -123,14 +123,6 @@ def orient(g: UndirectedGraph) -> Orientation:
     del ru, rw
     keys, order = _value_sort(keys, max(n * n - 1, 0).bit_length())
     return Orientation(n, rank, order, keys, _bounds(np.bincount(keys // n, minlength=n)))
-
-
-def _ends(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the keys tail*n + head: heads = key - (key // n)*n, in place."""
-    tails = keys // n
-    heads = tails * n
-    np.subtract(keys, heads, out=heads)
-    return tails, heads
 
 
 def _view(o: Orientation, positions: np.ndarray) -> Orientation:

@@ -162,8 +162,10 @@ def _mask_values(g: UndirectedGraph, profile: ProfileVector, t: np.ndarray,
     """
     n = g.vertex_count
     h0, h1, h2, h3 = profile.n3 - g1, g1 - g2, g2 - g3, g3
-    kept_deg = np.bincount(g.edge_u[t], minlength=n) + np.bincount(g.edge_w[t], minlength=n)
-    kept, ends = int(np.count_nonzero(t)), _exact_sum(g.degrees * kept_deg)
+    edges = np.flatnonzero(t)  # a gather by index beats a boolean index at p of 0.3-0.8
+    kept_deg = (np.bincount(g.edge_u[edges], minlength=n)
+                + np.bincount(g.edge_w[edges], minlength=n))
+    kept, ends = len(edges), _exact_sum(g.degrees * kept_deg)
     t1, t2 = h1 + 2 * h2 + 3 * h3, h2 + 3 * h3
     s1, d1 = kept * n - ends + t1, ends - 2 * kept - 2 * t1
     d2 = _exact_sum(kept_deg * (kept_deg - 1) // 2) - t2

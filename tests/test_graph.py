@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triprof import ParseError, UndirectedGraph, UsageError, graph, load_edge_list, profiles
+from triprof import (Engine, ParseError, UndirectedGraph, UsageError, engine, graph,
+                     load_edge_list, profiles)
 from triprof.oracle import induced_subgraph
 
 from conftest import load_text
@@ -347,6 +348,107 @@ def test_non_utf8_file_after_every_line_end(tmp_path):
     path.write_bytes(b"0 1\r\n" * 3 + b"0 1\r" * 2 + b"0 1\n0 \xe9\n")
     with pytest.raises(ParseError, match="^line 7: not UTF-8"):
         load_edge_list(path)
+
+
+# -- pieces: the text cut after LF bytes, one piece a step ------------------------
+
+def load_in_pieces(path, piece_bytes: int, workers: int):
+    """``load_edge_list`` with pieces of at most about ``piece_bytes`` bytes
+    on an engine of ``workers`` workers, as many as run on any machine."""
+    with mock.patch.object(graph, "PIECE_BYTES", piece_bytes), \
+            mock.patch.object(engine, "usable_cpus", lambda: workers):
+        return load_edge_list(path, engine=Engine(workers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(edge_list_text(), digit_edge_list_text().map(lambda drawn: drawn[0])),
+       piece_bytes=st.integers(1, 24), workers=st.integers(1, 3))
+def test_pieced_loader_matches_whole_file_loader(tmp_path_factory, text, piece_bytes, workers):
+    """Cut every few bytes, next to comments, blank lines, every line end,
+    wide spaces and lines of one or three tokens, and with decimal pieces
+    beside others, the pieces load as the whole file and the line loop do."""
+    path = tmp_path_factory.getbasetemp() / "pieces.txt"
+    path.write_bytes(text.encode("utf-8"))
+    lines = text.encode("utf-8").splitlines(keepends=True)
+    assert_same_parse(lambda: load_edge_list(path), lambda: reference_load(lines))
+    assert_same_parse(lambda: load_edge_list(path),
+                      lambda: load_in_pieces(path, piece_bytes, workers))
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"0 1\r\n" * 40 + b"# 1 2 3\n\n2 3 4\n5 6\n",
+     "line 43: expected two vertex labels, got 3"),
+    (b"0 1\r" * 20 + b"0 1\n" * 20 + b"2\n" + b"1 \xe9\n",
+     "line 41: expected two vertex labels, got 1"),
+    (b"0 1\n" * 30 + b"1 \xe9\n" + b"0\n" + b"1 2\n" * 10,
+     "line 31: not UTF-8 text (invalid continuation byte)"),
+    (b"a b\n" * 30 + b"\n\n\xff\n",
+     "line 33: not UTF-8 text (invalid start byte)"),
+    (b"0 1\n" * 20 + b"2\n" + b"0 1\n" * 20 + b"3 4 5\n",
+     "line 21: expected two vertex labels, got 1"),
+], ids=["wrong-count-after-crlf", "wrong-count-before-bad-utf8",
+        "bad-utf8-before-wrong-count", "bad-utf8-in-last-piece", "two-wrong-counts"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_bad_line_over_all_pieces(tmp_path, text, message, workers):
+    """The first bad line of the whole file, a wrong token count or bytes
+    that are not UTF-8, fails the load with its number and message, whichever
+    piece it lies in."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as whole:
+        load_edge_list(path)
+    assert str(whole.value) == message
+    for piece_bytes in (4, 16, 64):
+        with pytest.raises(ParseError) as pieced:
+            load_in_pieces(path, piece_bytes, workers)
+        assert str(pieced.value) == message
+
+
+@pytest.mark.parametrize("size, piece_bytes, workers, count", [
+    (100, 100, 2, 1), (101, 100, 2, 2), (101, 100, 3, 3), (450, 100, 2, 6), (450, 100, 1, 5)])
+def test_cuts_are_balanced_after_line_feeds(size, piece_bytes, workers, count):
+    """Past PIECE_BYTES the text is cut into the fewest pieces of at most
+    about PIECE_BYTES that are a multiple of the workers, each cut just after
+    an LF, at most one line past the end of an even share."""
+    data = np.zeros(size + 8, dtype=np.uint8)
+    data[:size] = np.frombuffer((b"0 1\n" * size)[:size], dtype=np.uint8)
+    with mock.patch.object(graph, "PIECE_BYTES", piece_bytes):
+        cuts = graph._cuts(data, size, workers)
+    assert len(cuts) - 1 == count
+    assert cuts[0] == 0 and cuts[-1] == size
+    assert all(data[c - 1] == 10 for c in cuts[1:-1])
+    share = size / count  # each cut lies less than one 4-byte line past its share's end
+    assert all(k * share < c <= k * share + 4 for k, c in enumerate(cuts[1:-1], 1))
+    assert max(np.diff(cuts)) <= piece_bytes + 4
+
+
+def test_a_line_longer_than_its_share_leaves_fewer_pieces():
+    text = b"0 1\n" + b"x" * 200 + b" y\n" + b"0 1\n"
+    data = np.zeros(len(text) + 8, dtype=np.uint8)
+    data[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+    with mock.patch.object(graph, "PIECE_BYTES", 20):
+        assert graph._cuts(data, len(text), 2) == [0, len(text) - 4, len(text)]
+
+
+def test_pieces_start_one_thread_on_two_cpus(tmp_path, monkeypatch):
+    """Eight workers asked for on two CPUs: the pieces' pass starts one
+    thread, and the graph is the whole-file loader's."""
+    class Counting(threading.Thread):
+        started = 0
+
+        def start(self):
+            Counting.started += 1
+            super().start()
+
+    rng = np.random.default_rng(2)
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in rng.integers(0, 300, (2000, 2)).tolist()))
+    whole = load_edge_list(path)
+    monkeypatch.setattr(graph, "PIECE_BYTES", 512)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", Counting)
+    assert_same_parse(lambda: whole, lambda: load_edge_list(path, engine=Engine(8)))
+    assert Counting.started == 1
 
 
 def test_whitespace_is_what_str_split_splits_on():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from triprof import (Engine, PolynomialValues, UndirectedGraph, UsageError, census_terms,
                      compute_profile, ego, ego_parallel, engine, evaluate_polynomials,
-                     profiles, subgraph_from_mask)
+                     profiles, subgraph_from_mask, theory)
 from triprof.oracle import brute_force_ego, ego_serial
 
 from conftest import (chung_lu, community_graph, complete_graph, hub_joined_cliques, load_text,
@@ -297,6 +297,28 @@ def test_census_of_many_masks_matches_brute_force(name, budget, monkeypatch):
     masks = [rng.random(g.edge_count) < p for p in np.linspace(0, 1, 11)]
     terms = census_terms(g, iter(masks))
     assert terms == census_terms(g, masks)
+    assert list(terms.values) == [brute_polynomials(name, t) for t in masks]
+
+
+@pytest.mark.parametrize("name", ["k7", "hub-cliques-padded", "skewed-b"])
+def test_census_of_twenty_masks_is_one_pass(name, monkeypatch):
+    """Twenty masks (three mask bytes) share one orientation and one pass of
+    the enumeration, and each mask's values are its brute-force values."""
+    calls = []
+
+    def counted(real):
+        def spy(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(theory, "orient", counted(theory.orient))
+    monkeypatch.setattr(theory, "_triangle_steps", counted(theory._triangle_steps))
+    g = CASES[name]
+    rng = np.random.default_rng(20)
+    masks = [rng.random(g.edge_count) < p for p in np.linspace(0, 1, 20)]
+    terms = census_terms(g, masks)
+    assert sorted(calls) == ["_triangle_steps", "orient"]
     assert list(terms.values) == [brute_polynomials(name, t) for t in masks]
 
 
