@@ -426,7 +426,7 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     one piece a step; a text of one piece is tokenized on the calling thread.
     Each piece makes its own first look at _PROBE tokens for the decimal
     keys, so the steps never wait on one another; the text takes the decimal
-    keys only when every piece with tokens did.
+    keys only when every piece with tokens did, and is otherwise keyed whole.
     """
     data = text.data
     cuts = _cuts(data, text.size, min(engine.workers, engine_mod.usable_cpus()))
@@ -449,16 +449,17 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     if wrong is not None:
         raise ParseError(f"line {line}: expected two vertex labels, got {count}")
 
-    starts, length, keys, decimal = zip(*((p.starts, p.length, p.keys, p.decimal)
-                                          for p in pieces))
+    starts, length, keys = zip(*((p.starts, p.length, p.keys) for p in pieces))
     del pieces
     starts, length = _joined(starts), _joined(length)
-    if all(decimal) and len(starts):
+    if len(starts) and all(k is not None for k in keys):
         keys = _joined(keys)
         ids, heads = _table_ids(keys)
     else:
-        # pieces that took decimal keys beside ones that did not are keyed again
-        keys = _short_keys(data, starts, length) if any(decimal) else _joined(keys)
+        # key: the first 7 bytes over a low byte min(length, 8), which tells
+        # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
+        keys = _words(data, starts, np.minimum(length, 7))
+        keys |= np.minimum(length, 8).astype(np.uint64)
         longer = np.flatnonzero(length > 7)
         if longer.size:
             keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
@@ -497,22 +498,22 @@ def _cuts(data: np.ndarray, size: int, workers: int) -> list[int]:
 class _Piece(NamedTuple):
     """The tokens of one piece of the text, lines of comments dropped.
 
-    ``starts`` are offsets into the whole text. ``keys`` are the decimal keys
-    when ``decimal``, else each token's first 7 bytes over a low byte
-    min(length, 8); a piece with a bad line, in a text that will be refused,
-    keys nothing. ``wrong`` is None, or (line within the piece, 0-based, and
-    its token count) of the piece's first line holding neither 0 nor 2 tokens.
+    ``starts`` are offsets into the whole text. ``keys`` are the decimal
+    keys, or None when the piece's tokens are not all decimal labels or the
+    text will be refused; a piece without tokens has an empty array, so it
+    has no say in which keys the text takes. ``wrong`` is None, or (line
+    within the piece, 0-based, and its token count) of the piece's first
+    line holding neither 0 nor 2 tokens.
     """
 
     starts: np.ndarray
     length: np.ndarray
     keys: np.ndarray | None
-    decimal: bool
     wrong: tuple[int, int] | None
 
 
 def _piece(data: np.ndarray, lo: int, hi: int, text: _Text) -> _Piece:
-    """The tokens and keys of the text's bytes lo:hi, which start a line."""
+    """The tokens and decimal keys of the text's bytes lo:hi, which start a line."""
     piece = data[lo:]
     starts, ends, line = _token_spans(piece, hi - lo, text.ascii)
     first = np.ones(len(starts), dtype=bool)
@@ -531,24 +532,12 @@ def _piece(data: np.ndarray, lo: int, hi: int, text: _Text) -> _Piece:
         starts = _offsets(starts, text.size)  # int64 when the whole text needs it
         starts += lo
     if wrong.size or text.bad is not None:
-        return _Piece(starts, length, None, False,
+        return _Piece(starts, length, None,
                       (int(wrong[0]), int(counts[wrong[0]])) if wrong.size else None)
     del counts, wrong
-    if not len(starts):  # no tokens: no say in which keys the text takes
-        return _Piece(starts, length, np.empty(0, dtype=np.int64), True, None)
-    keys = _decimal_keys(data, starts, length)
-    if keys is not None:
-        return _Piece(starts, length, keys, True, None)
-    return _Piece(starts, length, _short_keys(data, starts, length), False, None)
-
-
-def _short_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The first 7 bytes over a low byte min(length, 8): keys that tell
-    tokens of up to 7 bytes apart exactly; longer ones get keys of their own
-    from ``_long_keys``."""
-    keys = _words(data, starts, np.minimum(length, 7))
-    keys |= np.minimum(length, 8).astype(np.uint64)
-    return keys
+    if not len(starts):
+        return _Piece(starts, length, np.empty(0, dtype=np.int64), None)
+    return _Piece(starts, length, _decimal_keys(data, starts, length), None)
 
 
 def _joined(arrays) -> np.ndarray:

@@ -449,6 +449,24 @@ def test_pieces_start_one_thread_on_two_cpus(tmp_path, monkeypatch):
     assert Counting.started == 1
 
 
+def test_other_labels_are_keyed_once_over_all_pieces(tmp_path, monkeypatch):
+    """A file whose pieces do not all take the decimal keys, here a piece of
+    digits, one of comments only and one of other labels, builds the general
+    keys in one pass over every token, and loads as the whole file does."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n1 2\n" * 8 + b"# x y\n" * 12 + b"a b\nb 3\n" * 8)
+    whole = load_edge_list(path)
+    keyed, real = [], graph._words
+
+    def spy(data, offsets, nbytes):
+        keyed.append(len(offsets))
+        return real(data, offsets, nbytes)
+
+    monkeypatch.setattr(graph, "_words", spy)
+    assert_same_parse(lambda: whole, lambda: load_in_pieces(path, 64, 3))
+    assert keyed == [64]  # the 32 data lines' tokens
+
+
 def test_whitespace_is_what_str_split_splits_on():
     assert graph.WHITESPACE == "".join(c for c in map(chr, range(0x110000)) if c.isspace())
     assert ("a" + graph.WHITESPACE + "b").split() == ["a", "b"]
