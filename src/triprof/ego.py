@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
-from .graph import UndirectedGraph, _ends
+from .graph import UndirectedGraph, _ends, _table_ids
 from .profiles import Orientation, _lookup, _ragged_steps, _triangle_steps, _view, orient
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
@@ -82,8 +82,7 @@ def _dedup_centers(g: UndirectedGraph, centers) -> np.ndarray:
     bad = np.flatnonzero((ids < 0) | (ids >= g.vertex_count))
     if bad.size:
         raise UsageError(f"center out of range: {ids[bad[0]]}")
-    _, first = np.unique(ids, return_index=True)
-    return ids[np.sort(first)]
+    return ids[_table_ids(ids)[1]]
 
 
 def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,

@@ -26,9 +26,10 @@ no worker count splits. Each run counts on an ``Engine`` of its own with
 min(workers, usable CPUs) // runs workers (at least one), so nested passes
 start no more workers than CPUs and a single run still splits its count.
 
-So are the pieces of an edge-list file above ``graph.PIECE_BYTES``: each
-step tokenizes and keys one piece into a slot of its own, with ``shapes``
-empty, and the numbering runs once on the calling thread afterwards.
+So are the pieces of an edge-list file (a file of at most
+``graph.PIECE_BYTES`` is one step, on the calling thread): each step
+tokenizes and keys one piece into a slot of its own, with ``shapes`` empty,
+and ``graph._table_ids`` numbers the labels once afterwards.
 
 ``endpoint_sums`` accumulates per-edge values at the edges' endpoints, one
 value array per endpoint side, in float64 bincounts over the canonical edges,

@@ -26,9 +26,9 @@ have such bytes. One list of the space offsets gives every token's bounds,
 and a running count of the line ends among those spaces gives its line.
 A label of L = 1 to 7 ASCII digits, as in SNAP-style files, is keyed by its
 value plus (10**L - 1) // 9, which maps the digit strings one to one onto
-1 to 11 111 110 and so keeps ``7``, ``07`` and ``007`` apart; one table
-indexed by key numbers them by first appearance. Any other label is keyed
-by its bytes and argsorted.
+1 to 11 111 110 and so keeps ``7``, ``07`` and ``007`` apart. Any other
+label is keyed by its bytes, and the key's rank in sorted order stands in
+for it. One table indexed by key numbers either kind by first appearance.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ def load_edge_list(path: str | Path, vertex_count: int | None = None,
     ends among those spaces gives its line. When every label is 1 to 7 ASCII
     digits, each is keyed by its value plus (10**L - 1) // 9 for its L
     digits, so ``7`` and ``07`` stay apart, and ids come from one table
-    indexed by key; other labels are keyed by their bytes and argsorted.
+    indexed by key; other labels are keyed by their bytes and ranked.
     The distinct labels are kept as their joined bytes and decoded when the
     graph's labels are first read.
 
@@ -371,7 +371,6 @@ def load_edge_list(path: str | Path, vertex_count: int | None = None,
             if x.isdecimal() and seen <= int(x) < n and str(int(x)) == x:
                 raise UsageError(f"input label {x!r} is also the label of padding vertex {x} "
                                  f"(--vertex-count {n} adds ids {seen} to {n - 1})")
-    check_key_packing(n)
     return UndirectedGraph.from_edges(pairs, vertex_count=n, labels=labels)
 
 
@@ -423,10 +422,10 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     Raises the ParseError of the first line that holds neither 0 nor 2
     tokens (comment lines aside) or is not UTF-8, whichever comes first.
     The pieces of ``_cuts`` are tokenized and keyed on ``engine``'s workers,
-    one piece a step; a text of one piece is tokenized on the calling thread.
-    Each piece makes its own first look at _PROBE tokens for the decimal
-    keys, so the steps never wait on one another; the text takes the decimal
-    keys only when every piece with tokens did, and is otherwise keyed whole.
+    one piece a step (one piece runs on the calling thread). Each piece makes
+    its own first look at _PROBE tokens for the decimal keys, so the steps
+    never wait on one another; the text takes the decimal keys only when
+    every piece with tokens did, and is otherwise keyed whole and ranked.
     """
     data = text.data
     cuts = _cuts(data, text.size, min(engine.workers, engine_mod.usable_cpus()))
@@ -435,10 +434,7 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     def tokenize_piece(_, k: int) -> None:
         pieces[k] = _piece(data, cuts[k], cuts[k + 1], text)
 
-    if len(pieces) == 1:
-        tokenize_piece(None, 0)
-    else:
-        engine.sum_steps(len(pieces), [], tokenize_piece)
+    engine.sum_steps(len(pieces), [], tokenize_piece)
 
     wrong = next((k for k, piece in enumerate(pieces) if piece.wrong is not None), None)
     if wrong is not None:  # its line number: the line ends before its piece, plus its own
@@ -452,9 +448,8 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     starts, length, keys = zip(*((p.starts, p.length, p.keys) for p in pieces))
     del pieces
     starts, length = _joined(starts), _joined(length)
-    if len(starts) and all(k is not None for k in keys):
+    if all(k is not None for k in keys):
         keys = _joined(keys)
-        ids, heads = _table_ids(keys)
     else:
         # key: the first 7 bytes over a low byte min(length, 8), which tells
         # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
@@ -463,7 +458,8 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
         longer = np.flatnonzero(length > 7)
         if longer.size:
             keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
-        ids, heads = _first_appearance_ids(keys)
+        keys = _rank(keys)[0]
+    ids, heads = _table_ids(keys)
     del keys
     return ids.reshape(-1, 2), _joined_labels(data, starts[heads], length[heads])
 
@@ -702,13 +698,13 @@ def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,
     offset = 7
     while True:
         live = live[length[live] > offset]
-        shared, _ = _rank(group[live])
+        shared = group[live]
         live = live[np.bincount(shared)[shared] > 1]
         if not live.size:
             break
         word = _words(data, starts[live] + offset, np.minimum(length[live] - offset, 8))
         split, parts = _rank_pairs(group[live], word)
-        group[live] = count + split
+        group[live] = np.add(split, count, dtype=group.dtype)  # split may be narrower
         count += parts
         offset += 8
     return (group.astype(np.uint64) << np.uint64(8)) | np.uint64(8)
@@ -725,22 +721,22 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sort_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """argsort of values, and a mask marking where each run of equal values
-    begins in sorted order."""
+def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Index of each value among the sorted distinct values, in
+    _index_dtype, and their number. The sorted copy is freed once it has
+    marked where each run of equal values begins."""
     order = np.argsort(values)
     ordered = values[order]
     new = np.ones(len(values), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return order, new
-
-
-def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Index of each value among the sorted distinct values, and their number."""
-    order, new = _sort_runs(values)
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank, int(np.count_nonzero(new))
+    del ordered
+    small = _index_dtype(len(values))
+    run = np.cumsum(new, dtype=small)
+    del new
+    run -= 1
+    rank = np.empty(len(values), dtype=small)
+    rank[order] = run
+    return rank, int(run[-1]) + 1 if len(run) else 0
 
 
 def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -757,7 +753,8 @@ def _index_dtype(count: int):
 
 def _table_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids of equal keys, numbered in order of first appearance, and
-    the index where each id first appears, for small non-negative keys.
+    the index where each id first appears, for small non-negative keys
+    (decimal label keys, ranks of other label keys, or vertex ids).
 
     One zero-initialised table of max(keys) + 1 entries is indexed by key;
     its pages that no key touches are never written. Each key's entry takes
@@ -766,35 +763,13 @@ def _table_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries are then overwritten with their ids, which every key reads back.
     """
     small = _index_dtype(len(keys))
-    table = np.zeros(int(keys.max()) + 1, dtype=small)
+    table = np.zeros(int(keys.max(initial=-1)) + 1, dtype=small)
     first = np.arange(len(keys), 0, -1, dtype=small)  # N - index
     np.maximum.at(table, keys, first)
     heads = np.flatnonzero(table[keys] == first)
     del first
     table[keys[heads]] = np.arange(len(heads), dtype=small)
     return table[keys], heads
-
-
-def _first_appearance_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of equal keys, numbered in order of first appearance, and
-    the index where each id first appears.
-
-    The keys are argsorted, and each run's first index is its minimum.
-    """
-    if not len(keys):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    small = _index_dtype(len(keys))
-    order, new = _sort_runs(keys)
-    heads = np.minimum.reduceat(order, np.flatnonzero(new))
-    by_first = np.argsort(heads)
-    id_of_run = np.empty(len(heads), dtype=small)
-    id_of_run[by_first] = np.arange(len(heads), dtype=small)
-    run = np.cumsum(new, dtype=small)
-    del new
-    run -= 1
-    ids = np.empty(len(keys), dtype=small)
-    ids[order] = id_of_run[run]
-    return ids, heads[by_first]
 
 
 class _LabelText:

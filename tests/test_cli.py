@@ -568,7 +568,7 @@ class TestDeterminism:
 
     def test_one_sampled_run_splits_its_count(self, capsys, c5_file, monkeypatch):
         """With one run, the run's own count still reaches sum_steps on an
-        engine of every worker."""
+        engine of every worker, after the load's one-piece pass."""
         from triprof import engine
         from triprof.engine import Engine
 
@@ -582,7 +582,7 @@ class TestDeterminism:
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
         assert main(["profile", c5_file, "--p", "0.9", "--runs", "1", "--threads", "2"]) == 0
         capsys.readouterr()
-        assert calls == [(2, []), (2, [()])]
+        assert calls == [(2, []), (2, []), (2, [()])]
 
     def test_nested_runs_start_no_more_workers_than_cpus(self, capsys, tmp_path, monkeypatch):
         """Eight workers asked for on two CPUs: the pass of runs starts one

@@ -1,8 +1,10 @@
 """Graph loading, key packing, and induced-subgraph behavior."""
 
+import ast
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from triprof import (Engine, ParseError, UndirectedGraph, UsageError, engine, graph,
                      load_edge_list, profiles)
+from triprof.ego import _dedup_centers
 from triprof.oracle import induced_subgraph
 
 from conftest import load_text
@@ -483,19 +486,78 @@ def test_labels_differ_by_length_and_bytes():
 
 def test_parse_memory_is_bounded(tmp_path):
     """Parsing a 200k-line file peaks well below what per-line Python objects
-    took: the line-loop parser peaked at 52 MiB on this file."""
+    took: the line-loop parser peaked at 52 MiB on the decimal file. Its
+    copy with 13-byte labels takes the general keys, which peaked at
+    57.6 MiB when the numbering argsorted them and reduced each run to its
+    first index."""
     rng = np.random.default_rng(0)
-    pairs = rng.integers(0, 50_000, size=(200_000, 2))
-    path = tmp_path / "g.txt"
-    path.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))
-    tracemalloc.start()
-    try:
-        g = load_edge_list(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.edge_count > 190_000
-    assert peak < 32 << 20
+    pairs = rng.integers(0, 50_000, size=(200_000, 2)).tolist()
+    for label, bound in [("{}", 32 << 20), ("user_{:08d}", 50 << 20)]:
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{label.format(a)} {label.format(b)}\n" for a, b in pairs))
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 190_000
+        assert peak < bound, label
+
+
+def first_appearance(values) -> tuple[list[int], list[int]]:
+    """Reference numbering by a dict: each value's id, and the index where
+    each id first appears."""
+    ids, heads = {}, []
+    for i, v in enumerate(values):
+        if v not in ids:
+            ids[v] = len(ids)
+            heads.append(i)
+    return [ids[v] for v in values], heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, 7, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]),
+                          st.integers(0, 2 ** 64 - 1)), max_size=40))
+@example([])
+@example([5])
+@example([2 ** 64 - 1] * 6)
+@example([2 ** 63, 3, 2 ** 63 + 1, 3, 2 ** 63])
+def test_table_ids_of_ranks_number_by_first_appearance(values):
+    """The load's one numbering, ranks then the table, over uint64 keys."""
+    rank, count = graph._rank(np.array(values, dtype=np.uint64))
+    assert rank.tolist() == [sorted(set(values)).index(v) for v in values]
+    assert count == len(set(values))
+    ids, heads = graph._table_ids(rank)
+    assert (ids.tolist(), heads.tolist()) == first_appearance(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 11), max_size=40))
+@example([])
+@example([4])
+@example([11] * 5)
+def test_dedup_centers_keeps_first_appearances(centers):
+    g = UndirectedGraph.from_edges([], vertex_count=12)
+    _, heads = first_appearance(centers)
+    assert _dedup_centers(g, centers).tolist() == [centers[i] for i in heads]
+
+
+def test_one_first_appearance_numbering():
+    """``graph._table_ids`` is the package's one first-appearance numbering:
+    no ``np.unique(..., return_index=...)`` and no ``minimum.reduceat``
+    under ``src/triprof``, so a second numbering cannot come back unseen."""
+    found = []
+    for path in sorted(Path(graph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and any(k.arg == "return_index" for k in node.keywords)):
+                found.append((path.name, node.lineno, "unique(return_index)"))
+            if (isinstance(node, ast.Attribute) and node.attr == "reduceat"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "minimum"):
+                found.append((path.name, node.lineno, "minimum.reduceat"))
+    assert found == []
 
 
 class TestKeyPackingLimit:
