@@ -743,7 +743,9 @@ def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """_rank of the pairs (a[i], b[i])."""
     ra, _ = _rank(a)
     rb, nb = _rank(b)
-    return _rank(ra * np.int64(nb) + rb)
+    pair = np.multiply(ra, nb, dtype=np.int64)  # ranks may be int32; ra * nb may not fit
+    pair += rb
+    return _rank(pair)
 
 
 def _index_dtype(count: int):

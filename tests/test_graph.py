@@ -532,6 +532,16 @@ def test_table_ids_of_ranks_number_by_first_appearance(values):
     assert (ids.tolist(), heads.tolist()) == first_appearance(values)
 
 
+def test_rank_pairs_past_int32_products():
+    """Ranks are int32 here, but rank(a) * count(b) passes 2**31: every pair
+    still gets its own rank, in the pairs' sorted order."""
+    a = np.arange(70_000)
+    rank, count = graph._rank_pairs(a, a[::-1])
+    assert rank.dtype == np.int32
+    assert count == len(a)
+    assert np.array_equal(rank, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 11), max_size=40))
 @example([])
