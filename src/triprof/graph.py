@@ -743,9 +743,7 @@ def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """_rank of the pairs (a[i], b[i])."""
     ra, _ = _rank(a)
     rb, nb = _rank(b)
-    pair = np.multiply(ra, nb, dtype=np.int64)  # ranks may be int32; ra * nb may not fit
-    pair += rb
-    return _rank(pair)
+    return _rank(np.multiply(ra, nb, dtype=np.int64) + rb)  # ra * nb may pass int32
 
 
 def _index_dtype(count: int):
