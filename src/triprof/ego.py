@@ -2,9 +2,11 @@
 
 ``ego_parallel`` never builds a neighborhood subgraph; the route that does,
 ``oracle.ego_serial``, is the reference it is checked against. One oriented
-triangle enumeration gives each edge's triangle count and each center's
-4-clique count; triangles are extended into 4-cliques only as far as a
-center can read the result, so the extension work follows the centers.
+triangle enumeration gives the triangle count of each edge at a center and
+each center's 4-clique count. Triangles are extended into 4-cliques only as
+far as a center can read the result; and where few centers of low degree
+make it pay, the centers rank first, so that only their out-lists are
+enumerated. Either way the work follows the centers.
 Three pivot sums per center follow from the triangle counts on the center's
 edges and the center's degree; the 4-clique count supplies the one entry the
 pivots cannot separate, and the remaining entries follow by exact
@@ -21,7 +23,8 @@ import numpy as np
 from .engine import Engine, endpoint_sums
 from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph, _ends, _table_ids
-from .profiles import Orientation, _lookup, _ragged_steps, _triangle_steps, _view, orient
+from .profiles import (Orientation, _exact_sum, _lookup, _ragged_steps, _triangle_steps, _view,
+                       orient)
 
 # Triangle extensions the 4-clique pass checks per step. Each step holds a few
 # int64 arrays of this length.
@@ -87,8 +90,9 @@ def _dedup_centers(g: UndirectedGraph, centers) -> np.ndarray:
 
 def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
                                 engine: Engine) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles on each edge (by edge id) and the 4-cliques at each of the
-    ``centers`` (vertex ids), from one orientation and one triangle
+    """Triangles on each edge (by edge id), exact on every edge with a center
+    endpoint (the only edges the pivots read), and the 4-cliques at each of
+    the ``centers`` (vertex ids), from one orientation and one triangle
     enumeration on ``engine``'s workers.
 
     Each step's triangles are counted on their three edges, as in
@@ -102,13 +106,21 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
     - any other triangle only over c's out-list in the view of the edges
       into centers, and each clique found counts at d, its one center.
 
-    With every vertex a center, the restricted out-lists are never walked.
+    Vertices rank by degree, unless ``_center_first`` holds: then the centers
+    rank below every other vertex, so a triangle or 4-clique with a center
+    has a center lowest. Only the centers' out-lists are enumerated, every
+    triangle found holds a center, and the view is never built. With every
+    vertex a center, the restricted out-lists are never walked.
     """
     n, m = g.vertex_count, g.edge_count
-    o = orient(g)
+    deg = g.degrees
+    first = _center_first(deg[centers], n, m)
+    rank_by = deg + (int(deg.max(initial=0)) + 1)  # (not a center, degree, id)
+    rank_by[centers] = deg[centers]
+    o = orient(g, rank_by if first else None)
     is_center = np.zeros(n, dtype=bool)
     is_center[o.rank[centers]] = True
-    to_centers = _view(o, np.flatnonzero(is_center[_ends(o.keys, n)[1]]))  # edges into centers
+    to_centers = None if first else _view(o, np.flatnonzero(is_center[_ends(o.keys, n)[1]]))
 
     def extend(acc, i, j, k):
         hits, count = acc
@@ -118,14 +130,26 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
         touched = is_center[a] | is_center[b] | is_center[c]
         for t, d in _extensions(o, a, b, c, touched):
             count += np.bincount(np.concatenate([a[t], b[t], c[t], d]), minlength=n)
-        np.logical_not(touched, out=touched)
-        for _, d in _extensions(to_centers, a, b, c, touched):
-            count += np.bincount(d, minlength=n)
+        if to_centers is not None:
+            np.logical_not(touched, out=touched)
+            for _, d in _extensions(to_centers, a, b, c, touched):
+                count += np.bincount(d, minlength=n)
 
-    hits, count = _triangle_steps(o, engine, [m, n], extend)
+    hits, count = _triangle_steps(o, engine, [m, n], extend, tail_ranks=len(centers) if first else None)
     tri = np.empty(m, dtype=np.int64)
     tri[o.order] = hits
     return tri, count[o.rank[centers]]
+
+
+def _center_first(d: np.ndarray, n: int, m: int) -> bool:
+    """Whether the centers, of degrees ``d``, rank first: not every vertex is
+    a center, no center's degree exceeds sqrt(2m), and their sum of C(d, 2),
+    which bounds the sibling pairs they check, is at most the least sum of
+    C(d+, 2) that m edges on n vertices can have, with out-degrees as even as
+    can be."""
+    q, r = divmod(m, max(n, 1))
+    return (len(d) < n and int(d.max(initial=0)) ** 2 <= 2 * m
+            and _exact_sum(d * (d - 1) // 2) <= r * (q + 1) * q // 2 + (n - r) * q * (q - 1) // 2)
 
 
 def _extensions(o: Orientation, a: np.ndarray, b: np.ndarray, c: np.ndarray, use: np.ndarray):

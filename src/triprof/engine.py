@@ -16,9 +16,9 @@ worker the steps run in a plain loop and no thread is started. The triangle
 enumeration cuts its sibling pairs into steps of ``profiles.PAIR_BUDGET``
 (2**18) pairs; the sorts, searches, gathers and bincounts of a step release
 the GIL, so the workers' steps overlap. On a 2-core VM two workers took
-``ego --random 20000`` on a 1.18M-edge clustered graph from 1.16 to 0.96 s
-and ``profile`` on a 1.25M-edge skewed graph from 0.97 to 0.85 s (medians
-of 10 alternating CLI calls).
+``ego --random 20000`` on a 1.18M-edge clustered graph from 0.68 to 0.62 s
+and ``profile`` on a 1.25M-edge skewed graph from 0.64 to 0.54 s (medians
+of 10 alternating CLI calls against one worker).
 
 The sampled runs of ``profile --p`` are steps too, one run each: a run at
 p = 0.3 keeps so few sibling pairs that its enumeration is one step, which

@@ -99,7 +99,7 @@ def _exact_sum(arr: np.ndarray) -> int:
 
 class Orientation(NamedTuple):
     """Edges pointed from the lower- to the higher-ranked endpoint, vertices
-    ranked by (degree, id), packed as int64 keys and sorted once."""
+    ranked as ``orient`` says, packed as int64 keys and sorted once."""
 
     n: int
     rank: np.ndarray     # vertex id -> rank
@@ -108,16 +108,18 @@ class Orientation(NamedTuple):
     out_ptr: np.ndarray  # rank r's out-list holds positions out_ptr[r]:out_ptr[r + 1]
 
 
-def orient(g: UndirectedGraph) -> Orientation:
+def orient(g: UndirectedGraph, rank_by: np.ndarray | None = None) -> Orientation:
     """The orientation every triangle enumeration starts from, 8(2|E| + 2|V| + 1)
-    bytes. Build it once and pass it along when a command enumerates again."""
+    bytes. Build it once and pass it along when a command enumerates again.
+    Vertices rank by (rank_by, id), non-negative values per vertex, the
+    degrees when None; the degree order keeps each out-degree within sqrt(2|E|)."""
     n = g.vertex_count
     check_key_packing(n)
-    deg = g.degrees
-    _, by_degree = _value_sort(deg, int(deg.max(initial=0)).bit_length())
+    rank_by = g.degrees if rank_by is None else rank_by
+    _, by_value = _value_sort(rank_by, int(rank_by.max(initial=0)).bit_length())
     rank = np.empty(n, dtype=np.int64)
-    rank[by_degree] = np.arange(n, dtype=np.int64)
-    del by_degree
+    rank[by_value] = np.arange(n, dtype=np.int64)
+    del by_value
     ru, rw = rank[g.edge_u], rank[g.edge_w]
     keys = np.minimum(ru, rw) * np.int64(n) + np.maximum(ru, rw)
     del ru, rw
@@ -208,11 +210,14 @@ def _packed_order(query: np.ndarray, qbits: int) -> np.ndarray:
     return packed
 
 
-def _triangle_steps(o: Orientation, engine: Engine, shapes, consume) -> list[np.ndarray]:
+def _triangle_steps(o: Orientation, engine: Engine, shapes, consume,
+                    tail_ranks: int | None = None) -> list[np.ndarray]:
     """The int64 sums, over every step, of what ``consume(acc, i, j, k)``
     adds into ``acc`` (zero arrays of the given ``shapes``) for the step's
     triangles, given as the sorted positions i, j, k of their edges a->b,
-    a->c and b->c, ranks a < b < c.
+    a->c and b->c, ranks a < b < c. With ``tail_ranks`` given, only the
+    out-lists of the ranks below it are enumerated, so only the triangles
+    with a below it are found.
 
     This is compact-forward enumeration: a triangle is found exactly once, as
     the sibling pair (b, c) in a's out-list closed by the edge b -> c. The
@@ -223,9 +228,10 @@ def _triangle_steps(o: Orientation, engine: Engine, shapes, consume) -> list[np.
     instead of probing them at random; its pairs are freed before
     ``consume`` works on its triangles.
     """
-    bounds = o.keys // o.n + 1  # tails + 1 cost |E|, where a diff of out_ptr costs |V|
+    stop = len(o.keys) if tail_ranks is None else int(o.out_ptr[tail_ranks])
+    bounds = o.keys[:stop] // o.n + 1  # tails + 1 cost |E|, where a diff of out_ptr costs |V|
     np.take(o.out_ptr, bounds, out=bounds, mode="clip")  # in place: one |E| array fewer
-    bounds -= np.arange(1, len(bounds) + 1)  # each position's later siblings
+    bounds -= np.arange(1, stop + 1)  # each position's later siblings
     bounds = _bounds(bounds)  # rebinding frees them
     total, budget = int(bounds[-1]), PAIR_BUDGET
     qbits = (o.n * o.n - 1).bit_length()  # of the largest key, n**2 - 1

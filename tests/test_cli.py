@@ -354,13 +354,13 @@ class TestEgoCommand:
         orients, steps = [], []
         real_orient, real_steps = profiles.orient, profiles._triangle_steps
 
-        def counted_orient(g):
+        def counted_orient(g, *rest):
             orients.append(g)
-            return real_orient(g)
+            return real_orient(g, *rest)
 
-        def counted_steps(o, *rest):
+        def counted_steps(o, *rest, **kwargs):
             steps.append(o)
-            return real_steps(o, *rest)
+            return real_steps(o, *rest, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("ego must not scatter per-edge scalars")

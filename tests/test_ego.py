@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triprof import IntegrityError, UndirectedGraph, UsageError, ego_parallel, profiles
+from triprof import IntegrityError, UndirectedGraph, UsageError, ego, ego_parallel, profiles
 from triprof.oracle import brute_force_ego, brute_force_four_cliques, ego_serial
 
-from conftest import complete_graph, er_graph, load_text, star_graph
+from conftest import (chung_lu, community_graph, complete_graph, er_graph, load_text,
+                      star_graph)
+
+# Sibling pairs of TestWorkCounters' two passes. The degree order checks
+# 25 636 on the first graph.
+PINNED_SUBSET_PAIRS = 5907
+PINNED_HUB_PAIRS = 2506
 
 K4_TAIL = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
 
@@ -164,3 +172,118 @@ class TestInvariants:
         full = ego_parallel(g, range(g.vertex_count))
         subset = ego_parallel(g, [3, 17, 8])
         assert {v: subset[v] for v in subset} == {v: full[v] for v in (3, 17, 8)}
+
+
+def traced_ego(g, centers):
+    """ego_parallel's table, the tail ranks its pass enumerated (None for the
+    degree order, which enumerates every out-list) and the sibling pairs the
+    pass checked."""
+    tail_ranks, pairs = [], []
+    real_steps, real_closing = ego._triangle_steps, profiles._closing_edges
+
+    def steps(*args, **kwargs):
+        tail_ranks.append(kwargs.get("tail_ranks"))
+        return real_steps(*args, **kwargs)
+
+    def closing(o, qbits, p0, i, j):
+        pairs.append(len(i))
+        return real_closing(o, qbits, p0, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ego, "_triangle_steps", steps)
+        mp.setattr(profiles, "_closing_edges", closing)
+        table = ego_parallel(g, centers)
+    assert len(tail_ranks) == 1
+    return table, tail_ranks[0], sum(pairs)
+
+
+def degree_order_pairs(g):
+    """Sum of C(d+, 2) over every vertex, out-degrees under the degree order."""
+    d = np.diff(profiles.orient(g).out_ptr)
+    return int((d * (d - 1) // 2).sum())
+
+
+def center_first_pairs(g, centers):
+    """Sum of C(d+, 2) over the centers, vertices ranked by (not a center,
+    degree, id), counted from the edge list alone."""
+    is_center = np.zeros(g.vertex_count, dtype=bool)
+    is_center[centers] = True
+    key = [(not is_center[v], g.degree(v), v) for v in range(g.vertex_count)]
+    out = np.zeros(g.vertex_count, dtype=np.int64)
+    for u, w in zip(g.edge_u.tolist(), g.edge_w.tolist()):
+        out[min(u, w, key=key.__getitem__)] += 1
+    d = out[is_center]
+    return int((d * (d - 1) // 2).sum())
+
+
+def grown(g, clique=(), isolated=0):
+    """g with every edge among the ``clique`` vertices and ``isolated`` more
+    vertices added."""
+    pairs = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    return UndirectedGraph.from_edges(
+        np.concatenate([np.stack([g.edge_u, g.edge_w], axis=1), np.reshape(pairs, (-1, 2))]),
+        vertex_count=g.vertex_count + isolated)
+
+
+def hubs(g, k):
+    return np.argsort(-g.degrees, kind="stable")[:k]
+
+
+class TestCenterFirst:
+    """ego ranks the centers first when their sibling pairs cannot outnumber
+    any orientation's, and ranks every vertex by degree otherwise; both
+    orders give the oracle's table."""
+
+    @pytest.mark.parametrize("build, pick, first", [
+        (lambda: community_graph(300, 1200, seed=5), lambda g: np.argsort(g.degrees)[:12], True),
+        (lambda: chung_lu(400, 1600, 1.6, seed=6), lambda g: hubs(g, 5), False),
+        (lambda: er_graph(30, 0.3, np.random.default_rng(7)), lambda g: np.arange(1, 30), False),
+        (lambda: star_graph(9), lambda g: np.arange(1, 10), True),
+        (lambda: grown(community_graph(200, 800, seed=8), isolated=3),
+         lambda g: np.array([201, 5, 201, 202, 5, 17, 200, 17]), True),
+        (lambda: grown(community_graph(300, 1200, seed=9), clique=[3, 40, 77, 150, 201, 299]),
+         lambda g: np.array([3, 40, 77, 150, 201, 299]), True),
+    ], ids=["sparse-low-degree", "chung-lu-hubs", "all-but-one", "all-but-the-hub",
+            "isolated-and-duplicate", "clique-of-centers"])
+    def test_each_order_matches_the_oracle(self, build, pick, first):
+        g = build()
+        centers = pick(g)
+        table, tail_ranks, _ = traced_ego(g, centers)
+        distinct = list(dict.fromkeys(centers.tolist()))
+        assert (tail_ranks == len(distinct)) if first else tail_ranks is None
+        assert list(table) == distinct
+        assert table == ego_serial(g, centers) == {v: brute_force_ego(g, v) for v in distinct}
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["er", "chung-lu", "community"]), seed=st.integers(0, 2 ** 16),
+           share=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    def test_random_center_subsets(self, kind, seed, share):
+        """Either order matches the oracle, and the pass never checks more
+        sibling pairs than the degree order's sum of C(d+, 2)."""
+        rng = np.random.default_rng(seed)
+        g = {"er": lambda: er_graph(int(rng.integers(5, 40)), 0.25, rng),
+             "chung-lu": lambda: chung_lu(80, 300, 1.7, seed),
+             "community": lambda: community_graph(120, 400, seed)}[kind]()
+        centers = np.flatnonzero(rng.random(g.vertex_count) < share)
+        table, tail_ranks, pairs = traced_ego(g, centers)
+        assert table == ego_serial(g, centers)
+        assert pairs <= degree_order_pairs(g)
+        if tail_ranks is not None:
+            assert pairs == center_first_pairs(g, centers)
+
+
+class TestWorkCounters:
+    """The sibling pairs ego's pass checks, pinned as exact integers."""
+
+    def test_center_subset_checks_only_the_centers_pairs(self):
+        g = community_graph(3000, 12000, seed=7)
+        centers = np.random.default_rng(1).choice(g.vertex_count, 200, replace=False)
+        _, tail_ranks, pairs = traced_ego(g, centers)
+        assert tail_ranks == 200
+        assert pairs == center_first_pairs(g, centers) == PINNED_SUBSET_PAIRS
+
+    def test_hub_centers_check_the_degree_orders_pairs(self):
+        g = chung_lu(3000, 12000, 1.6, seed=11)
+        _, tail_ranks, pairs = traced_ego(g, hubs(g, 20))
+        assert tail_ranks is None
+        assert pairs == degree_order_pairs(g) == PINNED_HUB_PAIRS
