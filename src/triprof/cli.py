@@ -329,12 +329,10 @@ def main(argv=None) -> int:
         report["elapsed_seconds"] = None if args.no_timing else time.perf_counter() - started
         _emit(args, report)
         return 0
-    except UsageError as exc:
-        print(f"triprof: usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, IntegrityError) as exc:
-        print(f"triprof: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, ParseError, IntegrityError) as exc:
+        prefix = "usage error: " if isinstance(exc, UsageError) else ""
+        print(f"triprof: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"triprof: {exc}", file=sys.stderr)
         return 2

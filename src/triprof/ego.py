@@ -4,9 +4,9 @@
 ``oracle.ego_serial``, is the reference it is checked against. One oriented
 triangle enumeration gives the triangle count of each edge at a center and
 each center's 4-clique count. Triangles are extended into 4-cliques only as
-far as a center can read the result; and where few centers of low degree
-make it pay, the centers rank first, so that only their out-lists are
-enumerated. Either way the work follows the centers.
+far as a center can read the result; and where the centers are every
+vertex, or few and of low degree, they rank first, so that only their
+out-lists are enumerated. Either way the work follows the centers.
 Three pivot sums per center follow from the triangle counts on the center's
 edges and the center's degree; the 4-clique count supplies the one entry the
 pivots cannot separate, and the remaining entries follow by exact
@@ -110,7 +110,7 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
     rank below every other vertex, so a triangle or 4-clique with a center
     has a center lowest. Only the centers' out-lists are enumerated, every
     triangle found holds a center, and the view is never built. With every
-    vertex a center, the restricted out-lists are never walked.
+    vertex a center, as under ``ego --all``, that order is the degree order.
     """
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
@@ -142,13 +142,13 @@ def _triangles_and_four_cliques(g: UndirectedGraph, centers: np.ndarray,
 
 
 def _center_first(d: np.ndarray, n: int, m: int) -> bool:
-    """Whether the centers, of degrees ``d``, rank first: not every vertex is
-    a center, no center's degree exceeds sqrt(2m), and their sum of C(d, 2),
-    which bounds the sibling pairs they check, is at most the least sum of
-    C(d+, 2) that m edges on n vertices can have, with out-degrees as even as
-    can be."""
+    """Whether the centers, of degrees ``d``, rank first: every vertex is a
+    center, so that ranking them first is the degree order, or no center's
+    degree exceeds sqrt(2m) and their sum of C(d, 2), which bounds the
+    sibling pairs they check, is at most the least sum of C(d+, 2) that m
+    edges on n vertices can have, with out-degrees as even as can be."""
     q, r = divmod(m, max(n, 1))
-    return (len(d) < n and int(d.max(initial=0)) ** 2 <= 2 * m
+    return (len(d) == n or int(d.max(initial=0)) ** 2 <= 2 * m
             and _exact_sum(d * (d - 1) // 2) <= r * (q + 1) * q // 2 + (n - r) * q * (q - 1) // 2)
 
 

@@ -27,8 +27,9 @@ and a running count of the line ends among those spaces gives its line.
 A label of L = 1 to 7 ASCII digits, as in SNAP-style files, is keyed by its
 value plus (10**L - 1) // 9, which maps the digit strings one to one onto
 1 to 11 111 110 and so keeps ``7``, ``07`` and ``007`` apart. Any other
-label is keyed by its bytes, and the key's rank in sorted order stands in
-for it. One table indexed by key numbers either kind by first appearance.
+label is keyed by its group among the tokens of equal bytes, found 8 bytes
+a round, with 0xFF read past each token's end. One table indexed by key
+numbers either kind by first appearance.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def load_edge_list(path: str | Path, vertex_count: int | None = None,
     ends among those spaces gives its line. When every label is 1 to 7 ASCII
     digits, each is keyed by its value plus (10**L - 1) // 9 for its L
     digits, so ``7`` and ``07`` stay apart, and ids come from one table
-    indexed by key; other labels are keyed by their bytes and ranked.
+    indexed by key; other labels are keyed by groups of equal bytes.
     The distinct labels are kept as their joined bytes and decoded when the
     graph's labels are first read.
 
@@ -425,7 +426,8 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     one piece a step (one piece runs on the calling thread). Each piece makes
     its own first look at _PROBE tokens for the decimal keys, so the steps
     never wait on one another; the text takes the decimal keys only when
-    every piece with tokens did, and is otherwise keyed whole and ranked.
+    every piece with tokens did, and is otherwise keyed whole by
+    ``_byte_groups``.
     """
     data = text.data
     cuts = _cuts(data, text.size, min(engine.workers, engine_mod.usable_cpus()))
@@ -450,15 +452,8 @@ def _tokenize(text: _Text, engine: Engine) -> tuple[np.ndarray, _LabelText]:
     starts, length = _joined(starts), _joined(length)
     if all(k is not None for k in keys):
         keys = _joined(keys)
-    else:
-        # key: the first 7 bytes over a low byte min(length, 8), which tells
-        # tokens of up to 7 bytes apart exactly; longer ones get keys of their own
-        keys = _words(data, starts, np.minimum(length, 7))
-        keys |= np.minimum(length, 8).astype(np.uint64)
-        longer = np.flatnonzero(length > 7)
-        if longer.size:
-            keys[longer] = _long_keys(data, starts[longer], length[longer], keys[longer])
-        keys = _rank(keys)[0]
+    else:  # the bytes are UTF-8 by now, so no token holds the 0xFF that _words fills in
+        keys = _byte_groups(data, starts, length)
     ids, heads = _table_ids(keys)
     del keys
     return ids.reshape(-1, 2), _joined_labels(data, starts[heads], length[heads])
@@ -612,15 +607,15 @@ def _word_view(data: np.ndarray, dtype: str) -> np.ndarray:
 
 
 def _words(data: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
-    """The 8 bytes at each offset as a big-endian uint64, keeping only the
-    first nbytes (1 to 8) of them and zeroing the rest."""
+    """The 8 bytes at each offset as a big-endian uint64, those past the
+    first nbytes (1 or more) set to 0xFF, a byte that UTF-8 never holds."""
     words = _word_view(data, ">u8")[offsets]
     words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
-    mask = nbytes.astype(np.uint64)
-    mask *= np.uint64(8)
-    np.subtract(np.uint64(64), mask, out=mask)
-    np.left_shift(_ALL_BITS, mask, out=mask)
-    words &= mask
+    fill = np.minimum(nbytes, 8).astype(np.uint64)
+    fill *= np.uint64(8)
+    np.subtract(np.uint64(64), fill, out=fill)
+    np.left_shift(_ALL_BITS, fill, out=fill)  # the kept bytes' bits
+    words |= np.invert(fill, out=fill)
     return words
 
 
@@ -684,30 +679,33 @@ def _top_shifts(length: np.ndarray) -> np.ndarray:
     return shift
 
 
-def _long_keys(data: np.ndarray, starts: np.ndarray, length: np.ndarray,
-               prefix: np.ndarray) -> np.ndarray:
-    """Keys (group << 8) | 8 of tokens longer than 7 bytes, equal exactly when
-    the tokens are.
+def _byte_groups(data: np.ndarray, starts: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Group ids of the tokens, small non-negative integers that are equal
+    exactly when the tokens' bytes are.
 
-    Tokens are grouped by their first 7 bytes and length, then groups of two
-    or more are split by the next 8 bytes, word by word, until every group
-    is a single token or has been compared to its end.
+    Tokens are grouped by their first 8-byte word, then, round by round,
+    each group of two or more is split by the next word of its members that
+    have bytes left. ``_words`` sets the bytes past a token's end to 0xFF,
+    which UTF-8 never holds, so tokens that end at different bytes of a word
+    never share it, and a token that ends at a word's end differs from the
+    longer members of its group: it keeps its id, and they get new ones.
+    Each split ranks the pairs (dense group id, rank of the word), packed as
+    id * words + rank in int64, since the product may pass int32.
     """
-    group, count = _rank_pairs(prefix, length)
-    live = np.arange(len(starts))
-    offset = 7
+    split, count = _rank(_words(data, starts, length))
+    group = split.astype(starts.dtype, copy=False)  # ids stay below N + size / 8, which it holds
+    on, offset = None, 8  # None: every token
     while True:
-        live = live[length[live] > offset]
-        shared = group[live]
-        live = live[np.bincount(shared)[shared] > 1]
-        if not live.size:
-            break
-        word = _words(data, starts[live] + offset, np.minimum(length[live] - offset, 8))
-        split, parts = _rank_pairs(group[live], word)
-        group[live] = np.add(split, count, dtype=group.dtype)  # split may be narrower
+        left = length[on] > offset if on is not None else length > offset
+        if not left.any():
+            return group
+        left &= np.bincount(split)[split] > 1
+        on = on[left] if on is not None else np.flatnonzero(left)
+        word, width = _rank(_words(data, starts[on] + offset, length[on] - offset))
+        split, parts = _rank(np.multiply(_table_ids(group[on])[0], width, dtype=np.int64) + word)
+        group[on] = np.add(split, count, dtype=group.dtype)
         count += parts
         offset += 8
-    return (group.astype(np.uint64) << np.uint64(8)) | np.uint64(8)
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -739,13 +737,6 @@ def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(run[-1]) + 1 if len(run) else 0
 
 
-def _rank_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """_rank of the pairs (a[i], b[i])."""
-    ra, _ = _rank(a)
-    rb, nb = _rank(b)
-    return _rank(np.multiply(ra, nb, dtype=np.int64) + rb)  # ra * nb may pass int32
-
-
 def _index_dtype(count: int):
     """int32 when every index below ``count`` fits it, else int64."""
     return np.int32 if count <= np.iinfo(np.int32).max else np.int64
@@ -754,7 +745,7 @@ def _index_dtype(count: int):
 def _table_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids of equal keys, numbered in order of first appearance, and
     the index where each id first appears, for small non-negative keys
-    (decimal label keys, ranks of other label keys, or vertex ids).
+    (decimal label keys, byte groups of other labels, or vertex ids).
 
     One zero-initialised table of max(keys) + 1 entries is indexed by key;
     its pages that no key touches are never written. Each key's entry takes

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import IntegrityError, UndirectedGraph, UsageError, ego, ego_parallel, profiles
+from triprof import (IntegrityError, UndirectedGraph, UsageError, ego, ego_parallel,
+                     load_edge_list, profiles)
+from triprof.cli import main
 from triprof.oracle import brute_force_ego, brute_force_four_cliques, ego_serial
 
 from conftest import (chung_lu, community_graph, complete_graph, er_graph, load_text,
@@ -283,6 +285,33 @@ class TestWorkCounters:
         _, tail_ranks, pairs = traced_ego(g, centers)
         assert tail_ranks == 200
         assert pairs == center_first_pairs(g, centers) == PINNED_SUBSET_PAIRS
+
+    def test_every_center_ranks_first_without_a_view(self, tmp_path):
+        """Under ``ego --all`` ranking the centers first is the degree order:
+        the pass enumerates every out-list, checks the degree order's pairs
+        and builds no view of the edges into centers."""
+        g = chung_lu(3000, 12000, 1.6, seed=11)
+        path = tmp_path / "g.txt"
+        g.write_edge_list(path)
+        g = load_edge_list(path)
+        tail_ranks, views, real_steps, real_view = [], [], ego._triangle_steps, ego._view
+
+        def steps(*args, **kwargs):
+            tail_ranks.append(kwargs.get("tail_ranks"))
+            return real_steps(*args, **kwargs)
+
+        def view(*args):
+            views.append(args)
+            return real_view(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ego, "_triangle_steps", steps)
+            mp.setattr(ego, "_view", view)
+            assert main(["ego", str(path), "--all", "--no-timing",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert tail_ranks == [g.vertex_count]
+        assert views == []
+        assert traced_ego(g, np.arange(g.vertex_count))[2] == degree_order_pairs(g)
 
     def test_hub_centers_check_the_degree_orders_pairs(self):
         g = chung_lu(3000, 12000, 1.6, seed=11)

@@ -487,12 +487,12 @@ def test_labels_differ_by_length_and_bytes():
 def test_parse_memory_is_bounded(tmp_path):
     """Parsing a 200k-line file peaks well below what per-line Python objects
     took: the line-loop parser peaked at 52 MiB on the decimal file. Its
-    copy with 13-byte labels takes the general keys, which peaked at
-    57.6 MiB when the numbering argsorted them and reduced each run to its
-    first index."""
+    copy with 13-byte labels takes the byte groups, which peak at about
+    24 MiB; the 7-byte keys and rounds of ranked pairs they replace peaked
+    at about 44 MiB."""
     rng = np.random.default_rng(0)
     pairs = rng.integers(0, 50_000, size=(200_000, 2)).tolist()
-    for label, bound in [("{}", 32 << 20), ("user_{:08d}", 50 << 20)]:
+    for label, bound in [("{}", 32 << 20), ("user_{:08d}", 32 << 20)]:
         path = tmp_path / "g.txt"
         path.write_text("".join(f"{label.format(a)} {label.format(b)}\n" for a, b in pairs))
         tracemalloc.start()
@@ -532,14 +532,49 @@ def test_table_ids_of_ranks_number_by_first_appearance(values):
     assert (ids.tolist(), heads.tolist()) == first_appearance(values)
 
 
-def test_rank_pairs_past_int32_products():
-    """Ranks are int32 here, but rank(a) * count(b) passes 2**31: every pair
-    still gets its own rank, in the pairs' sorted order."""
-    a = np.arange(70_000)
-    rank, count = graph._rank_pairs(a, a[::-1])
-    assert rank.dtype == np.int32
-    assert count == len(a)
-    assert np.array_equal(rank, a)
+def byte_groups(tokens: list[bytes]) -> list[int]:
+    """graph._byte_groups of the tokens laid end to end, so that the bytes
+    after each token are the next token's."""
+    length = np.array([len(t) for t in tokens], dtype=np.int32)
+    starts = np.zeros(len(tokens), dtype=np.int32)
+    np.cumsum(length[:-1], out=starts[1:])
+    return graph._byte_groups(graph._padded(b"".join(tokens)), starts, length).tolist()
+
+
+# Prefixes that end inside, at and past the first and second 8-byte words.
+BYTE_PREFIXES = ["", "abcdefg", "abcdefgh", "abcdefgh\x00", "p" * 16, "p" * 16 + "q"]
+
+
+@st.composite
+def byte_tokens(draw) -> list[bytes]:
+    """Non-empty UTF-8 tokens, with NUL bytes, multi-byte characters, shared
+    prefixes and repeats."""
+    tail = st.text(st.sampled_from(["\x00", "a", "h", "p", "\xe9", "\u20ac", "\U0001f600"]),
+                   max_size=20)
+    token = st.builds(lambda p, t: (p + t).encode(), st.sampled_from(BYTE_PREFIXES), tail)
+    base = draw(st.lists(token.filter(bool), min_size=1, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=30))
+    return draw(st.permutations(base + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_tokens())
+@example([b"a" * n for n in (1, 7, 8, 9, 15, 16, 17, 24, 30)] * 2)
+@example([b"abcdefg", b"abcdefg\x00", b"abcdefgh", b"abcdefgh\x00", b"\x00", b"\x00" * 8])
+@example(["\xe9".encode() * n for n in (4, 5, 8, 9, 12)] + ["\u20ac".encode() * 3] * 3)
+def test_byte_groups_equal_exactly_when_bytes_are(tokens):
+    groups = byte_groups(tokens)
+    assert min(groups) >= 0
+    assert len(set(groups)) == len(set(tokens)) == len(set(zip(groups, tokens)))
+
+
+def test_byte_groups_past_int32_products():
+    """Dense group ids are int32 here, but the last group's id times the
+    2**16 distinct second words reaches 2**32: groups 0 and 2**16 share both
+    their second words, and every token still gets a group of its own."""
+    k = 2 ** 16
+    tokens = [b"%08d%08d" % (g, (g + e) % k) for g in range(k + 1) for e in (0, 1)]
+    assert len(set(byte_groups(tokens))) == len(tokens)
 
 
 @settings(max_examples=100, deadline=None)
