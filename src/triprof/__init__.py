@@ -6,36 +6,51 @@ computes it exactly at three resolutions (global, per-vertex, per-ego-center),
 estimates it without bias from a Bernoulli edge sample, checks the sampling
 feasibility conditions, and ships reference routes (``triprof.oracle``) that
 verify every count at desk scale.
+
+The public names resolve on first use (PEP 562): ``import triprof`` loads no
+submodule, and each name imports only the submodule that defines it, so
+``triprof.load_edge_list`` brings in ``graph``, ``engine`` and ``errors``
+alone.
 """
 
+import importlib
 import os
 
 # triprof calls no BLAS routine, and OpenBLAS's idle threads spin on every
 # core; one thread, unless the caller chose otherwise, before numpy loads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .ego import EgoProfile, EgoTable, ego_parallel
-from .engine import Engine
-from .errors import IntegrityError, ParseError, UsageError
-from .graph import UndirectedGraph, load_edge_list
-from .oracle import ego_serial
-from .profiles import (LocalProfile, ProfileVector, compute_profile, count_triangles_only,
-                       gather_local_profiles, global_profile_from_local, scatter_edge_scalars)
-from .sampling import SampleParams, sample_mask, subgraph_from_mask, unbiased_estimate
-from .theory import (EdgeExtremes, PolynomialValues, TheoremReport,
-                     check_theorem_conditions, census_terms, edge_extremes,
-                     evaluate_polynomials)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "UndirectedGraph", "load_edge_list", "Engine",
-    "ProfileVector", "LocalProfile", "scatter_edge_scalars",
-    "gather_local_profiles", "global_profile_from_local", "compute_profile",
-    "count_triangles_only",
-    "SampleParams", "sample_mask", "subgraph_from_mask", "unbiased_estimate",
-    "EgoProfile", "EgoTable", "ego_serial", "ego_parallel",
-    "EdgeExtremes", "PolynomialValues", "TheoremReport", "edge_extremes",
-    "census_terms", "evaluate_polynomials", "check_theorem_conditions",
-    "UsageError", "ParseError", "IntegrityError",
-]
+# each public name and the submodule that defines it
+_SOURCE = {
+    "UndirectedGraph": "graph", "load_edge_list": "graph",
+    "Engine": "engine",
+    "ProfileVector": "profiles", "LocalProfile": "profiles",
+    "scatter_edge_scalars": "profiles", "gather_local_profiles": "profiles",
+    "global_profile_from_local": "profiles", "compute_profile": "profiles",
+    "count_triangles_only": "profiles",
+    "SampleParams": "sampling", "sample_mask": "sampling",
+    "subgraph_from_mask": "sampling", "unbiased_estimate": "sampling",
+    "EgoProfile": "ego", "EgoTable": "ego", "ego_serial": "oracle", "ego_parallel": "ego",
+    "EdgeExtremes": "theory", "PolynomialValues": "theory", "TheoremReport": "theory",
+    "edge_extremes": "theory", "census_terms": "theory", "evaluate_polynomials": "theory",
+    "check_theorem_conditions": "theory",
+    "UsageError": "errors", "ParseError": "errors", "IntegrityError": "errors",
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

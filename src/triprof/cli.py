@@ -6,6 +6,11 @@ keys to the report, then records the worker count once and the phases.
 Every report is fully determined by (input file, flags, seed); pass
 --no-timing to mask the wall-clock fields and the worker count so reports
 can be compared byte for byte across worker counts.
+
+Every command's modules are imported here at the top, although a command
+runs only some of them: ``perfbench/tracing.py`` wraps the layer functions
+only in the modules loaded once ``triprof.cli`` is imported, so a module
+that a command imported later would escape its spans.
 """
 
 from __future__ import annotations

@@ -15,10 +15,14 @@ no environment variable is read. Worker 0 is the calling thread, so with one
 worker the steps run in a plain loop and no thread is started. The triangle
 enumeration cuts its sibling pairs into steps of ``profiles.PAIR_BUDGET``
 (2**18) pairs; the sorts, searches, gathers and bincounts of a step release
-the GIL, so the workers' steps overlap. On a 2-core VM two workers took
-``ego --random 20000`` on a 1.18M-edge clustered graph from 0.68 to 0.62 s
-and ``profile`` on a 1.25M-edge skewed graph from 0.64 to 0.54 s (medians
-of 10 alternating CLI calls against one worker).
+the GIL, so the workers' steps overlap. A second worker pays off only when
+the host gives the VM a second CPU's worth of time, and on a 2-vCPU VM that
+came and went: in one state two workers took ``ego --random 20000`` on a
+1.18M-edge clustered graph from 0.68 to 0.62 s and ``profile`` on a
+1.25M-edge skewed graph from 0.64 to 0.54 s; in another, one worker beat two
+on both in 9 of 10 alternating pairs (0.69 against 0.73 s and 0.82 against
+0.83 s), although the in-process kernel still went from 0.23 to 0.17-0.20 s
+(medians of 10 alternating CLI calls; in-process figures best of 5).
 
 The sampled runs of ``profile --p`` are steps too, one run each: a run at
 p = 0.3 keeps so few sibling pairs that its enumeration is one step, which

@@ -506,19 +506,17 @@ class _Piece(NamedTuple):
 def _piece(data: np.ndarray, lo: int, hi: int, text: _Text) -> _Piece:
     """The tokens and decimal keys of the text's bytes lo:hi, which start a line."""
     piece = data[lo:]
-    starts, ends, line = _token_spans(piece, hi - lo, text.ascii)
+    starts, length, line = _token_spans(piece, hi - lo, text.ascii)
     first = np.ones(len(starts), dtype=bool)
     np.not_equal(line[1:], line[:-1], out=first[1:])
     comment = first & (piece[starts] == ord("#"))
     if comment.any():
         keep = ~comment[first][np.cumsum(first) - 1]
-        starts, ends, line = starts[keep], ends[keep], line[keep]
+        starts, length, line = starts[keep], length[keep], line[keep]
     del first, comment
     counts = np.bincount(line)
     del line
     wrong = np.flatnonzero((counts != 0) & (counts != 2))
-    length = ends - starts
-    del ends
     if lo:
         starts = _offsets(starts, text.size)  # int64 when the whole text needs it
         starts += lo
@@ -538,21 +536,24 @@ def _joined(arrays) -> np.ndarray:
 
 def _token_spans(data: np.ndarray, size: int,
                  ascii: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start and end (exclusive) offsets and 0-based line of every maximal
-    run of non-space bytes.
+    """Start offset, length and 0-based line of every maximal run of
+    non-space bytes.
 
     The offsets of the space bytes, with one more space before the text and
     one after it, are listed once; a token fills each gap of more than one
-    byte between consecutive spaces. A token's line is the number of line
-    ends among the spaces before it: the LFs, and the CRs that no LF follows.
+    byte between consecutive spaces, and its length is that step between
+    the two spaces less one. A token's line is the number of line ends among
+    the spaces before it: the LFs, and the CRs that no LF follows.
     """
     space = _space_mask(data, size, ascii)
     at = _offsets(np.flatnonzero(space), size)  # each space's offset plus one
     del space
-    gap = _offsets(np.flatnonzero(np.diff(at) > 1), size)
+    step = np.diff(at)
+    gap = _offsets(np.flatnonzero(step > 1), size)
     starts = at[gap]
-    ends = at[gap + 1]
-    ends -= 1
+    length = step[gap]
+    length -= 1
+    del step
     byte = data[at - 1]  # the spaces; the one before the text reads a zero pad byte
     ends_line = byte == 10
     carriage = byte == 13
@@ -563,7 +564,7 @@ def _token_spans(data: np.ndarray, size: int,
     del carriage, at
     line = np.cumsum(ends_line, dtype=starts.dtype)
     del ends_line
-    return starts, ends, line[gap]
+    return starts, length, line[gap]
 
 
 def _space_mask(data: np.ndarray, size: int, ascii: bool) -> np.ndarray:
