@@ -20,8 +20,8 @@ the host gives the VM a second CPU's worth of time, and on a 2-vCPU VM that
 came and went: in one state two workers took ``ego --random 20000`` on a
 1.18M-edge clustered graph from 0.68 to 0.62 s and ``profile`` on a
 1.25M-edge skewed graph from 0.64 to 0.54 s; in another, one worker beat two
-on both in 9 of 10 alternating pairs (0.69 against 0.73 s and 0.82 against
-0.83 s), although the in-process kernel still went from 0.23 to 0.17-0.20 s
+on both in 9 of 10 alternating pairs (ego 0.82 against 0.83 s, ``profile``
+0.69 against 0.73 s), although the in-process kernel still went from 0.23 to 0.17-0.20 s
 (medians of 10 alternating CLI calls; in-process figures best of 5).
 
 The sampled runs of ``profile --p`` are steps too, one run each: a run at
