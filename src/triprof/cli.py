@@ -102,6 +102,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-timing", action="store_true",
                        help="mask wall-clock fields and the worker count for byte-stable reports")
 
+    def add_centers(p):
+        p.add_argument("--centers", default=None, help="file with one center label per line")
+        p.add_argument("--random", type=_non_negative, default=None, metavar="K",
+                       help="pick K random centers")
+        p.add_argument("--seed", type=_non_negative, default=0)
+        p.add_argument("--all", action="store_true", help="every vertex is a center")
+        p.add_argument("--tsv", default=None, help="write 'center f0 f1 f2 f3' rows here")
+
     p = sub.add_parser("profile", help="global and per-vertex 3-profile, exact or sampled")
     add_common(p)
     p.add_argument("--p", type=_probability, default=1.0, help="edge sampling probability")
@@ -115,21 +123,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ego", help="ego 3-profiles for a set of centers")
     add_common(p)
-    p.add_argument("--centers", default=None, help="file with one center label per line")
-    p.add_argument("--random", type=_non_negative, default=None, metavar="K",
-                   help="pick K random centers")
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--all", action="store_true", help="every vertex is a center")
-    p.add_argument("--tsv", default=None, help="write 'center f0 f1 f2 f3' rows here")
+    add_centers(p)
 
     p = sub.add_parser("oracle", help="brute-force reference counts for cross-checking")
     add_common(p)
     p.add_argument("--ego", action="store_true", help="ego table instead of the global profile")
-    p.add_argument("--centers", default=None)
-    p.add_argument("--random", type=_non_negative, default=None, metavar="K")
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--tsv", default=None)
+    add_centers(p)
     p.add_argument("--four-cliques", action="store_true",
                    help="include the global 4-clique count")
 

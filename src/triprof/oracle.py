@@ -5,7 +5,11 @@ and the benchmark check the pipeline against. Of the commands, only
 - The brute-force counts classify every vertex triple (or quadruple) on a
   dense adjacency matrix and share no code with the scatter/gather
   pipeline; independence is the point. They are capped at desk scale, where
-  O(|V|^3) enumeration is still instant.
+  O(|V|^3) enumeration is still instant. A triple counts by its edge count
+  k in the profile and the ego profiles. In the local profile each member
+  counts by its role, which k and the presence of the edge opposite it fix:
+  a lone edge's endpoint or the vertex apart from it, a wedge's endpoint or
+  center (``_ROLES``).
 - ``ego_serial`` is the materializing ego route: it builds each center's
   neighborhood subgraph with ``induced_subgraph`` and runs
   ``compute_profile`` on it, the per-center work that ``ego.ego_parallel``
@@ -22,7 +26,7 @@ import numpy as np
 
 from .ego import EgoProfile, EgoTable, _dedup_centers
 from .engine import Engine
-from .errors import UsageError
+from .errors import IntegrityError, UsageError
 from .graph import UndirectedGraph
 from .profiles import LocalProfile, ProfileVector, compute_profile
 
@@ -50,91 +54,42 @@ def _classify_triples(mat: np.ndarray):
             yield a, b, row_a[b + 1:], mat[b, b + 1:], bool(row_a[b])
 
 
+def _triple_counts(mat: np.ndarray) -> list[int]:
+    """Triples of the graph with adjacency matrix ``mat``, by edge count 0..3."""
+    counts = np.zeros(4, dtype=np.int64)
+    for _, _, ca, cb, e_ab in _classify_triples(mat):
+        counts += np.bincount(ca.astype(np.int64) + cb + e_ab, minlength=4)
+    return counts.tolist()
+
+
 def brute_force_profile(g: UndirectedGraph) -> ProfileVector:
     """Exact profile by classifying every vertex triple by its edge count."""
     mat = _dense_adjacency(g, PROFILE_CAP, "brute-force profile")
-    counts = [0, 0, 0, 0]
-    for a, b, ca, cb, e_ab in _classify_triples(mat):
-        k = ca.astype(np.int64) + cb + int(e_ab)
-        hist = np.bincount(k, minlength=4)
-        for i in range(4):
-            counts[i] += int(hist[i])
-    return ProfileVector(*counts)
+    return ProfileVector(*_triple_counts(mat))
+
+
+# A member's role in a triple, the LocalProfile field it counts in, at
+# 2k + o: k is the triple's edge count and o whether the edge opposite the
+# member, between the other two, is present. The None entries cannot occur:
+# o set with no edge, o clear with three.
+_ROLES = ("n0", None, "n1_e", "n1_d", "n2_c", "n2_e", None, "n3")
 
 
 def brute_force_local(g: UndirectedGraph) -> LocalProfile:
-    """Per-vertex census: classify each triple by the member's degree within it."""
+    """Per-vertex census: each member of each triple counts in the field of
+    its role, read from ``_ROLES``."""
     mat = _dense_adjacency(g, PROFILE_CAP, "brute-force local profile")
     n = g.vertex_count
-    n0 = np.zeros(n, dtype=np.int64)
-    n1_e = np.zeros(n, dtype=np.int64)
-    n1_d = np.zeros(n, dtype=np.int64)
-    n2_e = np.zeros(n, dtype=np.int64)
-    n2_c = np.zeros(n, dtype=np.int64)
-    n3 = np.zeros(n, dtype=np.int64)
-
+    census = np.zeros((len(_ROLES), n), dtype=np.int64)
     for a, b, ca, cb, e_ab in _classify_triples(mat):
-        cs = np.arange(b + 1, n)
-        ia, ib = ca.astype(np.int64), cb.astype(np.int64)
-        k = ia + ib + int(e_ab)
-
-        mask = k == 0
-        cnt = int(mask.sum())
-        if cnt:
-            n0[a] += cnt
-            n0[b] += cnt
-            n0[cs[mask]] += 1
-
-        mask = k == 3
-        cnt = int(mask.sum())
-        if cnt:
-            n3[a] += cnt
-            n3[b] += cnt
-            n3[cs[mask]] += 1
-
-        # one edge: its endpoints are attached, the third vertex is detached
-        m_ab = (k == 1) & e_ab
-        m_ac = (k == 1) & (ia == 1)
-        m_bc = (k == 1) & (ib == 1)
-        if e_ab:
-            cnt = int(m_ab.sum())
-            if cnt:
-                n1_e[a] += cnt
-                n1_e[b] += cnt
-                n1_d[cs[m_ab]] += 1
-        cnt = int(m_ac.sum())
-        if cnt:
-            n1_e[a] += cnt
-            n1_d[b] += cnt
-            n1_e[cs[m_ac]] += 1
-        cnt = int(m_bc.sum())
-        if cnt:
-            n1_d[a] += cnt
-            n1_e[b] += cnt
-            n1_e[cs[m_bc]] += 1
-
-        # two edges: the shared vertex is the center, the others are endpoints
-        k2 = k == 2
-        m_center_a = k2 & e_ab & (ia == 1)          # edges ab and ac
-        m_center_b = k2 & e_ab & (ib == 1)          # edges ab and bc
-        m_center_c = k2 & (ia == 1) & (ib == 1)     # edges ac and bc
-        cnt = int(m_center_a.sum())
-        if cnt:
-            n2_c[a] += cnt
-            n2_e[b] += cnt
-            n2_e[cs[m_center_a]] += 1
-        cnt = int(m_center_b.sum())
-        if cnt:
-            n2_e[a] += cnt
-            n2_c[b] += cnt
-            n2_e[cs[m_center_b]] += 1
-        cnt = int(m_center_c.sum())
-        if cnt:
-            n2_e[a] += cnt
-            n2_e[b] += cnt
-            n2_c[cs[m_center_c]] += 1
-
-    return LocalProfile(n0, n1_e, n1_d, n2_e, n2_c, n3)
+        twice_k = 2 * (ca.astype(np.int64) + cb + e_ab)
+        # opposite a is each bc, opposite b each ac, opposite each c is ab
+        census[:, a] += np.bincount(twice_k + cb, minlength=len(_ROLES))
+        census[:, b] += np.bincount(twice_k + ca, minlength=len(_ROLES))
+        census[twice_k + e_ab, np.arange(b + 1, n)] += 1
+    if census[[role is None for role in _ROLES]].any():
+        raise IntegrityError("a triple member has an impossible role")
+    return LocalProfile(**{role: row for role, row in zip(_ROLES, census) if role})
 
 
 def brute_force_ego(g: UndirectedGraph, v: int) -> EgoProfile:
@@ -158,14 +113,7 @@ def brute_force_ego(g: UndirectedGraph, v: int) -> EgoProfile:
     inside = nb[at] == cols
     sub = np.zeros((d, d), dtype=bool)
     sub[rows[inside], at[inside]] = True
-    counts = [0, 0, 0, 0]
-    for i in range(d - 2):
-        for j in range(i + 1, d - 1):
-            k = sub[i, j + 1:].astype(np.int64) + sub[j, j + 1:] + int(sub[i, j])
-            hist = np.bincount(k, minlength=4)
-            for t in range(4):
-                counts[t] += int(hist[t])
-    return EgoProfile(*counts)
+    return EgoProfile(*_triple_counts(sub))
 
 
 def brute_force_four_cliques(g: UndirectedGraph) -> int:

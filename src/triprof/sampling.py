@@ -76,6 +76,7 @@ def subgraph_from_mask(g: UndirectedGraph, mask: np.ndarray) -> UndirectedGraph:
     """Graph with the masked-in edges only, same vertex set and labels."""
     if len(mask) != g.edge_count:
         raise UsageError(f"mask has {len(mask)} entries for {g.edge_count} edges")
+    mask = np.asarray(mask, dtype=bool)  # keep flags, as masked_profile reads them
     pairs = np.stack([g.edge_u[mask], g.edge_w[mask]], axis=1)
     return UndirectedGraph.from_edges(pairs, vertex_count=g.vertex_count,
                                       labels=g._labels)

@@ -5,8 +5,10 @@ The polynomials of a batch of sample masks are counted in one pass over the
 shared oriented triangle enumeration: each triangle is classified, per mask,
 by how many of its edges the mask keeps. Every other term follows in closed
 form from those counts, the degrees and each mask's kept degrees, so no
-triangle or wedge is stored and the census keeps no per-edge array. Everything
-here is pure integer or float arithmetic over an immutable graph plus masks.
+triangle or wedge is stored. The per-edge arrays the census holds are the
+masks, packed one byte per edge for every eight masks, and one int64
+triangle count per edge for each worker. Everything here is pure integer or
+float arithmetic over an immutable graph plus masks.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = (),
     triangles on their edges, for the check of ``_edge_weights``, and, per
     byte, the byte values that mark the masks keeping at least one, two and
     three of a triangle's edges, read out per bit through ``_BITS``. The
-    steps run on ``engine``'s workers. Memory is O(|V| + |E| * masks / 8)
-    plus, per worker, one PAIR_BUDGET step and its own triangle and
-    histogram counts.
+    steps run on ``engine``'s workers. Memory is the packed masks, |E| bytes
+    per 8 masks, plus O(|V|) and, per worker, one PAIR_BUDGET step, its
+    histograms and an |E|-length int64 ``hits`` array (the triangles on each
+    edge, which the ``_edge_weights`` check and n3 read).
     """
     m = g.edge_count
     o = orient(g)  # built before the masks are drawn: a lower peak RSS, as measured
@@ -145,32 +148,31 @@ def census_terms(g: UndirectedGraph, masks: Iterable[np.ndarray] = (),
     profile = _profile_from_degrees(g.degrees, m, _exact_sum(hits) // 3)
     at_least = hist @ _BITS  # [byte, at least 1/2/3 kept edges, bit]
     return TermTables(profile, tuple(
-        _mask_values(g, profile, ((packed[b] >> bit) & 1).view(bool),
-                     *at_least[b, :, bit].tolist()) for b, bit in slots))
+        _mask_values(g, ((packed[b] >> bit) & 1).view(bool), *at_least[b, :, bit].tolist())
+        for b, bit in slots))
 
 
-def _mask_values(g: UndirectedGraph, profile: ProfileVector, t: np.ndarray,
-                 g1: int, g2: int, g3: int) -> PolynomialValues:
+def _mask_values(g: UndirectedGraph, t: np.ndarray, g1: int, g2: int,
+                 g3: int) -> PolynomialValues:
     """The polynomials on mask ``t``, of whose triangles g1, g2 and g3 keep
     at least one, two and three edges.
 
-    S1 and D1 sum the ``_edge_weights`` over the kept edges: their triangle
-    parts sum to T1, their degree parts to sum d*d' over the kept degrees d'.
-    Each pair of kept edges at a vertex, sum C(d', 2), is an open wedge with
-    both arms kept or two kept sides of a triangle: D2 = sum C(d', 2) - T2.
-    Of the n2 open wedges, D1 - 2*D2 keep one arm and n2 - D1 + D2 none.
+    The sampled graph's profile y follows from the kept degrees d', the kept
+    edges and its g3 triangles (``_profile_from_degrees``). S1 and D1 sum the
+    ``_edge_weights`` over the kept edges: their triangle parts sum to T1,
+    their degree parts to sum d*d'. Each pair of kept edges at a vertex,
+    sum C(d', 2) = y2 + 3*g3, is an open wedge with both arms kept or two
+    kept sides of a triangle: D2 = y2 + 3*g3 - T2.
     """
     n = g.vertex_count
-    h0, h1, h2, h3 = profile.n3 - g1, g1 - g2, g2 - g3, g3
+    t1, t2 = g1 + g2 + g3, g2 + 2 * g3
     edges = np.flatnonzero(t)  # a gather by index beats a boolean index at p of 0.3-0.8
     kept_deg = (np.bincount(g.edge_u[edges], minlength=n)
                 + np.bincount(g.edge_w[edges], minlength=n))
     kept, ends = len(edges), _exact_sum(g.degrees * kept_deg)
-    t1, t2 = h1 + 2 * h2 + 3 * h3, h2 + 3 * h3
+    y = _profile_from_degrees(kept_deg, kept, g3)
     s1, d1 = kept * n - ends + t1, ends - 2 * kept - 2 * t1
-    d2 = _exact_sum(kept_deg * (kept_deg - 1) // 2) - t2
-    y0 = profile.n0 + profile.n1 - s1 + profile.n2 - d1 + d2 + h0
-    return PolynomialValues(y0, s1 + d1 - 2 * d2 + h1, d2 + h2, h3, s1, d1, d2, t1, t2)
+    return PolynomialValues(*y.as_tuple(), s1, d1, y.n2 + 3 * g3 - t2, t1, t2)
 
 
 def evaluate_polynomials(g: UndirectedGraph, mask: np.ndarray,

@@ -11,7 +11,7 @@ import pytest
 
 from triprof import (IntegrityError, ProfileVector, SampleParams, compute_profile,
                      load_edge_list, sample_mask, subgraph_from_mask)
-from triprof.cli import _emit, accuracy_ratio, main
+from triprof.cli import _build_parser, _emit, accuracy_ratio, main
 from triprof.oracle import ego_serial
 
 from conftest import chung_lu
@@ -433,6 +433,28 @@ class TestOracleCommand:
         graph.write_text("".join(f"{0 if star else i - 1} {i}\n" for i in range(1, size)))
         assert main(["oracle", str(graph), *argv]) == 1
         assert capsys.readouterr().err == f"triprof: usage error: {message}\n"
+
+
+    def test_center_flags_are_egos(self):
+        """``oracle`` declares the center flags as ``ego`` does: the same
+        options, types, defaults and help, and the same parsed values."""
+        commands = next(a.choices for a in _build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        flags = ("--centers", "--random", "--seed", "--all", "--tsv")
+
+        def declared(name):
+            actions = {a.option_strings[0]: a for a in commands[name]._actions
+                       if a.option_strings}
+            return [(f, type(actions[f]), actions[f].type, actions[f].default,
+                     actions[f].metavar, actions[f].help) for f in flags]
+
+        assert declared("oracle") == declared("ego")
+        argv = ["--random", "7", "--seed", "3", "--tsv", "t.tsv"]
+        ego = vars(_build_parser().parse_args(["ego", "g.txt", *argv]))
+        oracle = vars(_build_parser().parse_args(["oracle", "g.txt", "--ego", *argv]))
+        assert {k: ego[k] for k in ("centers", "random", "seed", "all", "tsv")} == \
+            {k: oracle[k] for k in ("centers", "random", "seed", "all", "tsv")} == \
+            {"centers": None, "random": 7, "seed": 3, "all": False, "tsv": "t.tsv"}
 
 
 class TestSparsifierCheckCommand:

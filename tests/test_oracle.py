@@ -1,12 +1,17 @@
 """The brute-force references themselves, on hand-checkable graphs."""
 
+import ast
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from triprof import UndirectedGraph, UsageError, ego_parallel
+from triprof import UndirectedGraph, UsageError, ego_parallel, oracle
 from triprof.oracle import (brute_force_ego, brute_force_four_cliques,
                             brute_force_local, brute_force_profile)
 
@@ -136,3 +141,100 @@ class TestFourCliques:
             if all(b in g.neighbors(a) for a, b in itertools.combinations(quad, 2)):
                 count += 1
         assert brute_force_four_cliques(g) == count
+
+
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on 0 to 9 vertices."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return UndirectedGraph.from_edges([pair for pair, k in zip(pairs, keep) if k],
+                                      vertex_count=n)
+
+
+# LocalProfile field of a triple member, by the triple's edge count and the
+# member's degree within the triple
+ROLE_BY_DEGREE = {(0, 0): "n0", (1, 1): "n1_e", (1, 0): "n1_d",
+                  (2, 1): "n2_e", (2, 2): "n2_c", (3, 2): "n3"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+@example(complete_graph(9))
+@example(star_graph(8))
+@example(UndirectedGraph.from_edges([], vertex_count=9))
+def test_oracles_follow_the_definition(g):
+    """The three triple oracles against the literal definition: every vertex
+    triple from ``itertools``, counted by its edges, each member in the field
+    its degree within the triple gives, and every center's triples of
+    neighbors counted by the edges among them."""
+    n = g.vertex_count
+    adj = [set(g.neighbors(v).tolist()) for v in range(n)]
+    profile = [0, 0, 0, 0]
+    local = {field: [0] * n for field in ROLE_BY_DEGREE.values()}
+    for triple in itertools.combinations(range(n), 3):
+        degree = {v: len(adj[v].intersection(triple)) for v in triple}
+        k = sum(degree.values()) // 2
+        profile[k] += 1
+        for v in triple:
+            local[ROLE_BY_DEGREE[k, degree[v]]][v] += 1
+    assert brute_force_profile(g).as_tuple() == tuple(profile)
+    got = brute_force_local(g)
+    assert {field: getattr(got, field).tolist() for field in local} == local
+    for v in range(n):
+        ego = [0, 0, 0, 0]
+        for triple in itertools.combinations(sorted(adj[v]), 3):
+            ego[sum(b in adj[a] for a, b in itertools.combinations(triple, 2))] += 1
+        assert brute_force_ego(g, v).as_tuple() == tuple(ego)
+
+
+def test_brute_force_shares_no_pipeline_code():
+    """The brute-force counts, and every ``oracle.py`` definition they reach,
+    use no name from ``profiles``, ``ego``, ``theory``, ``sampling`` or
+    ``engine`` but the result types, so an oracle cannot inherit a pipeline
+    fault. ``ego_serial`` and ``induced_subgraph``, the materializing
+    references, are exempt unless a brute-force count reaches them."""
+    pipeline = {"profiles", "ego", "theory", "sampling", "engine"}
+    results = {"ProfileVector", "LocalProfile", "EgoProfile"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+
+    def pipeline_names(node):
+        """Names bound by the imports under ``node`` that come from the pipeline."""
+        bound = set()
+        for imp in ast.walk(node):
+            if isinstance(imp, ast.ImportFrom):
+                source = (imp.module or "").split(".")[-1]
+                bound |= {a.asname or a.name for a in imp.names
+                          if source in pipeline or a.name in pipeline}
+            elif isinstance(imp, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in imp.names
+                          if pipeline.intersection(a.name.split("."))}
+        return bound
+
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            definitions.update({t.id: node for t in targets if isinstance(t, ast.Name)})
+    forbidden = pipeline_names(tree) - results
+    roots = sorted(name for name in definitions if name.startswith("brute_force_"))
+    assert roots == ["brute_force_ego", "brute_force_four_cliques", "brute_force_local",
+                     "brute_force_profile"]
+    seen, todo, found = set(), list(roots), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        node = definitions[name]
+        found += [(name, f"imports {bad}") for bad in sorted(pipeline_names(node))]
+        for ref in ast.walk(node):
+            if isinstance(ref, ast.Name) and ref.id in forbidden:
+                found.append((name, ref.id))
+            elif isinstance(ref, ast.Name) and ref.id in definitions:
+                todo.append(ref.id)
+    assert {"_dense_adjacency", "_classify_triples", "_triple_counts"} <= seen
+    assert found == []

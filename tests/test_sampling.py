@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprof import (Engine, ProfileVector, SampleParams, UsageError, compute_profile,
-                     sample_mask, subgraph_from_mask, unbiased_estimate)
+from triprof import (Engine, ProfileVector, SampleParams, UndirectedGraph, UsageError,
+                     compute_profile, sample_mask, subgraph_from_mask, unbiased_estimate)
 from triprof.oracle import expected_sampled_profile, transition_matrix
-from triprof.profiles import orient
+from triprof.profiles import masked_profile, orient
 from triprof.sampling import estimate_profile
 
 from conftest import er_graph, load_text
@@ -34,6 +34,14 @@ class TestSampleEdges:
         sub = subgraph_from_mask(c5, mask)
         assert sub.vertex_count == c5.vertex_count
         assert sub.edge_count == int(mask.sum())
+        # a 0/1 mask of any dtype holds keep flags, not edge indices
+        g = UndirectedGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        for dtype in (bool, np.int8, np.int64):
+            mask = np.array([1, 0, 1, 1, 0], dtype=dtype)
+            sub = subgraph_from_mask(g, mask)
+            assert sub.vertex_count == 5
+            assert sub.canonical_edge_lines() == ["0 1", "1 2", "2 3"]
+            assert compute_profile(sub)[0] == masked_profile(orient(g), mask)
 
     def test_subgraph_leaves_the_source_labels_undecoded(self):
         g = load_text(b"hub a\nhub b\na b\nb caf\xc3\xa9\n")
